@@ -421,7 +421,11 @@ let tab_c () =
             | Sympvl.Stability.Not_applicable ->
               (* exact Hamiltonian band test: proves the whole axis,
                  not just a sampling grid *)
-              if Sympvl.Stability.passivity_bands model = [] then "bands-ok"
+              let pencil =
+                Sympvl.Certify.phys_pencil
+                  (Sympvl.Certify.state_space (Sympvl.Rom.Sympvl_model model))
+              in
+              if Linalg.Hamiltonian.violation_bands pencil = [] then "bands-ok"
               else "VIOLATED"
           in
           Printf.printf "%-20s %6d %10b %14.3e %12.3e %10s\n" name order
@@ -1576,7 +1580,7 @@ let sprim_bench () =
   let serr = Sympvl.Sprim.structure_error sp in
   let sym m = Linalg.Mat.dist_max m (Linalg.Mat.transpose m) = 0.0 in
   let blocks_sym =
-    sym sp.Sympvl.Sprim.cn && sym sp.Sympvl.Sprim.gn && sym sp.Sympvl.Sprim.lmat
+    sym (Sympvl.Sprim.cn sp) && sym (Sympvl.Sprim.gn sp) && sym (Sympvl.Sprim.lmat sp)
   in
   let rep = Sympvl.Certify.run ~ctx (Sympvl.Rom.Sprim_model sp) mna in
   let clean =
@@ -1599,7 +1603,7 @@ let sprim_bench () =
   in
   Printf.printf
     "peec_partial %dx%d: %d elements, N=%d -> n=%d (n1=%d, n2=%d) in %.2f s\n"
-    conductors segments elements mna.Circuit.Mna.n sp.Sympvl.Sprim.order
+    conductors segments elements mna.Circuit.Mna.n sp.Sympvl.Sprim.proj.Sympvl.Krylov.order
     sp.Sympvl.Sprim.n1 sp.Sympvl.Sprim.n2 reduce_s;
   Printf.printf
     "structure error %.1e; M/D/K symmetric %b; MOD002/MOD003 clean %b (full \
@@ -1616,7 +1620,7 @@ let sprim_bench () =
        \"elements\":%d,\"n\":%d,\"order\":%d,\"n1\":%d,\"n2\":%d,\
        \"reduce_s\":%.3f,\"structure_error\":%.3e,\"blocks_symmetric\":%b,\
        \"passivity_clean\":%b,\"certify_clean\":%b}"
-      conductors segments elements mna.Circuit.Mna.n sp.Sympvl.Sprim.order
+      conductors segments elements mna.Circuit.Mna.n sp.Sympvl.Sprim.proj.Sympvl.Krylov.order
       sp.Sympvl.Sprim.n1 sp.Sympvl.Sprim.n2 reduce_s serr blocks_sym mod23_clean
       clean
     :: !rows;
@@ -1642,7 +1646,7 @@ let sprim_bench () =
   let rt_err =
     Simulate.Ac.max_rel_error
       (Simulate.Ac.sweep m_rt freqs)
-      (Simulate.Ac.model_sweep (Sympvl.Sprim.eval spx) freqs)
+      (Simulate.Ac.model_sweep (Sympvl.Krylov.eval spx.Sympvl.Sprim.proj) freqs)
   in
   let rtol = Sympvl.Rom.golden_rtol `Sprim in
   Printf.printf

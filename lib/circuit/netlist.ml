@@ -29,7 +29,7 @@ type origin = { line : int }
 
 type t = {
   names : (string, node) Hashtbl.t;
-  mutable rev_names : string list; (* non-ground node names, newest first *)
+  mutable node_names : string array; (* node k is named node_names.(k - 1); grown by doubling *)
   mutable next : node;
   mutable rev_elements : (element * origin option) list;
   mutable rev_ports : (port * origin option) list;
@@ -41,7 +41,14 @@ let create () =
   Hashtbl.add names "0" 0;
   Hashtbl.add names "gnd" 0;
   Hashtbl.add names "GND" 0;
-  { names; rev_names = []; next = 1; rev_elements = []; rev_ports = []; counter = 0 }
+  {
+    names;
+    node_names = Array.make 16 "";
+    next = 1;
+    rev_elements = [];
+    rev_ports = [];
+    counter = 0;
+  }
 
 let node t name =
   match Hashtbl.find_opt t.names name with
@@ -50,7 +57,12 @@ let node t name =
     let n = t.next in
     t.next <- n + 1;
     Hashtbl.add t.names name n;
-    t.rev_names <- name :: t.rev_names;
+    if n > Array.length t.node_names then begin
+      let grown = Array.make (2 * Array.length t.node_names) "" in
+      Array.blit t.node_names 0 grown 0 (Array.length t.node_names);
+      t.node_names <- grown
+    end;
+    t.node_names.(n - 1) <- name;
     n
 
 let fresh_node t prefix =
@@ -65,10 +77,8 @@ let num_nodes t = t.next - 1
 
 let node_name t n =
   if n = 0 then "0"
-  else begin
-    let names = Array.of_list (List.rev t.rev_names) in
-    if n - 1 < Array.length names then names.(n - 1) else Printf.sprintf "<node %d>" n
-  end
+  else if n < t.next then t.node_names.(n - 1)
+  else Printf.sprintf "<node %d>" n
 
 let check_node t n what =
   if n < 0 || n >= t.next then

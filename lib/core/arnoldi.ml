@@ -1,4 +1,4 @@
-type t = {
+type t = Krylov.model = {
   ghat : Linalg.Mat.t;
   chat : Linalg.Mat.t;
   bhat : Linalg.Mat.t;
@@ -10,74 +10,11 @@ type t = {
 }
 
 let reduce ?ctx ?shift ?band ~order (m : Circuit.Mna.t) =
-  let g = m.Circuit.Mna.g and c = m.Circuit.Mna.c in
   let ctx = match ctx with Some p -> p | None -> Pencil.create m in
   (* shift resolution and factorisation via the shared policy: PRIMA
      expands about the exact same point SyMPVL/MPVL would pick *)
   Pencil.with_auto_shift ?shift ?band ctx @@ fun s0 fac ->
-  let solve_k v = fac.Factor.solve v in
-  let nn = m.Circuit.Mna.n in
-  let p = m.Circuit.Mna.b.Linalg.Mat.cols in
-  (* orthonormal basis accumulated column by column with two-pass MGS *)
-  let basis = ref [] in
-  let nb = ref 0 in
-  let push v =
-    if !nb < order then begin
-      let w = Linalg.Vec.copy v in
-      let n0 = Linalg.Vec.norm2 w in
-      for _pass = 1 to 2 do
-        List.iter
-          (fun q ->
-            let h = Linalg.Vec.dot q w in
-            Linalg.Vec.axpy (-.h) q w)
-          !basis
-      done;
-      let n1 = Linalg.Vec.norm2 w in
-      if n1 > 1e-10 *. Float.max n0 1e-300 then begin
-        Linalg.Vec.scale_ip (1.0 /. n1) w;
-        basis := !basis @ [ w ];
-        incr nb;
-        true
-      end
-      else false
-    end
-    else false
-  in
-  (* start block K⁻¹B *)
-  let current = ref [] in
-  for k = 0 to p - 1 do
-    let v = solve_k (Linalg.Mat.col m.Circuit.Mna.b k) in
-    if push v then current := !current @ [ List.nth !basis (!nb - 1) ]
-  done;
-  (* Arnoldi sweeps: apply K⁻¹C to the newest accepted block *)
-  let continue_ = ref (!current <> []) in
-  while !nb < order && !continue_ do
-    let next = ref [] in
-    List.iter
-      (fun v ->
-        if !nb < order then begin
-          let w = solve_k (Sparse.Csr.mul_vec c v) in
-          if push w then next := !next @ [ List.nth !basis (!nb - 1) ]
-        end)
-      !current;
-    current := !next;
-    if !current = [] then continue_ := false
-  done;
-  let v = Linalg.Mat.create nn !nb in
-  List.iteri (fun k q -> Linalg.Mat.set_col v k q) !basis;
-  let ghat = Linalg.Mat.congruence v (Sparse.Csr.to_dense g) in
-  let chat = Linalg.Mat.congruence v (Sparse.Csr.to_dense c) in
-  let bhat = Linalg.Mat.mul (Linalg.Mat.transpose v) m.Circuit.Mna.b in
-  {
-    ghat;
-    chat;
-    bhat;
-    order = !nb;
-    p;
-    shift = s0;
-    variable = m.Circuit.Mna.variable;
-    gain = m.Circuit.Mna.gain;
-  }
+  Krylov.project ~shift:s0 m (Krylov.basis ~cap:order m [ (fac, order) ])
 
 let shift_of_hz (m : Circuit.Mna.t) f =
   let w = 2.0 *. Float.pi *. f in
@@ -87,87 +24,10 @@ let shift_of_hz (m : Circuit.Mna.t) f =
 
 let reduce_multipoint ?ctx ~points (m : Circuit.Mna.t) =
   assert (points <> []);
-  let g = m.Circuit.Mna.g and c = m.Circuit.Mna.c in
   let ctx = match ctx with Some p -> p | None -> Pencil.create m in
-  let nn = m.Circuit.Mna.n in
-  let p = m.Circuit.Mna.b.Linalg.Mat.cols in
-  let basis = ref [] in
-  let nb = ref 0 in
-  let push v =
-    let w = Linalg.Vec.copy v in
-    let n0 = Linalg.Vec.norm2 w in
-    for _pass = 1 to 2 do
-      List.iter
-        (fun q ->
-          let h = Linalg.Vec.dot q w in
-          Linalg.Vec.axpy (-.h) q w)
-        !basis
-    done;
-    let n1 = Linalg.Vec.norm2 w in
-    if n1 > 1e-10 *. Float.max n0 1e-300 then begin
-      Linalg.Vec.scale_ip (1.0 /. n1) w;
-      basis := !basis @ [ w ];
-      incr nb;
-      true
-    end
-    else false
-  in
-  List.iter
-    (fun (s0, steps) ->
-      (* repeated expansion points are cache hits on the context *)
-      let fac = Pencil.factor ctx ~shift:s0 in
-      let current = ref [] in
-      for col = 0 to p - 1 do
-        let v = fac.Factor.solve (Linalg.Mat.col m.Circuit.Mna.b col) in
-        if push v then current := !current @ [ List.nth !basis (!nb - 1) ]
-      done;
-      for _step = 2 to steps do
-        let next = ref [] in
-        List.iter
-          (fun v ->
-            let w = fac.Factor.solve (Sparse.Csr.mul_vec c v) in
-            if push w then next := !next @ [ List.nth !basis (!nb - 1) ])
-          !current;
-        current := !next
-      done)
-    points;
-  let v = Linalg.Mat.create nn !nb in
-  List.iteri (fun k q -> Linalg.Mat.set_col v k q) !basis;
-  {
-    ghat = Linalg.Mat.congruence v (Sparse.Csr.to_dense g);
-    chat = Linalg.Mat.congruence v (Sparse.Csr.to_dense c);
-    bhat = Linalg.Mat.mul (Linalg.Mat.transpose v) m.Circuit.Mna.b;
-    order = !nb;
-    p;
-    shift = fst (List.hd points);
-    variable = m.Circuit.Mna.variable;
-    gain = m.Circuit.Mna.gain;
-  }
+  (* repeated expansion points are cache hits on the context *)
+  let factored = List.map (fun (s0, steps) -> (Pencil.factor ctx ~shift:s0, steps)) points in
+  Krylov.project ~shift:(fst (List.hd points)) m (Krylov.basis m factored)
 
-let eval t s =
-  let var =
-    match t.variable with
-    | Circuit.Mna.S -> s
-    | Circuit.Mna.S_squared -> Linalg.Cx.(s *: s)
-  in
-  let k = Linalg.Cmat.lincomb Linalg.Cx.one t.ghat var t.chat in
-  let b = Linalg.Cmat.of_real t.bhat in
-  let z = Linalg.Cmat.mul (Linalg.Cmat.transpose b) (Linalg.Cmat.lu_solve_mat (Linalg.Cmat.lu_factor k) b) in
-  match t.gain with
-  | Circuit.Mna.Unit -> z
-  | Circuit.Mna.Times_s -> Linalg.Cmat.scale s z
-
-let poles t =
-  (* generalised eigenvalues of (Ĝ, Ĉ): poles satisfy Ĝ + λĈ singular;
-     compute via the standard eigenproblem of −Ĉ⁻¹Ĝ when Ĉ is
-     invertible, else of −ĜĈ pencil shifted *)
-  match Linalg.Lu.factor t.chat with
-  | lu ->
-    let n = t.order in
-    let m = Linalg.Mat.create n n in
-    for j = 0 to n - 1 do
-      let col = Linalg.Lu.solve_vec lu (Linalg.Mat.col t.ghat j) in
-      Linalg.Mat.set_col m j (Linalg.Vec.scale (-1.0) col)
-    done;
-    Linalg.Eig_gen.eigenvalues m
-  | exception Linalg.Lu.Singular _ -> [||]
+let eval = Krylov.eval
+let poles = Krylov.poles

@@ -7,9 +7,10 @@
     modified Gram–Schmidt; the reduced model is the congruence
     projection [Ĝ = VᵀGV], [Ĉ = VᵀCV], [B̂ = VᵀB]. It matches only
     [⌊n/p⌋] moments (half of SyMPVL's Padé count) but preserves
-    semi-definiteness of [G] and [C] by congruence. *)
+    semi-definiteness of [G] and [C] by congruence. Both reductions
+    are thin wrappers over {!Krylov}. *)
 
-type t = {
+type t = Krylov.model = {
   ghat : Linalg.Mat.t;
   chat : Linalg.Mat.t;
   bhat : Linalg.Mat.t;
@@ -36,6 +37,8 @@ val reduce_multipoint : ?ctx:Pencil.t -> points:(float * int) list -> Circuit.Mn
     [(s₀, k)] pairs in the pencil variable: [k] block-Krylov steps of
     [((G + s₀C)⁻¹C, (G + s₀C)⁻¹B)] are generated at each shift and the
     union basis is orthonormalised before the congruence projection.
+    [points = [(s₀, k)]] builds the same basis as {!reduce} at [s₀]
+    with the order it reaches.
     By symmetry the model interpolates ≈ [2k] moments {e at every
     shift}, trading depth at one point for wideband coverage. The
     [shift] field of the result holds the first point. *)

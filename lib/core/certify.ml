@@ -128,55 +128,26 @@ let of_mpvl (m : Mpvl.t) =
     definite = false;
   }
 
-let of_prima (m : Arnoldi.t) =
-  (* the congruence projection already lives in the physical pencil
-     variable — the shift only chose the Krylov space *)
-  let sym =
-    if near_symmetric m.Arnoldi.ghat && near_symmetric m.Arnoldi.chat then
-      Some (m.Arnoldi.ghat, m.Arnoldi.chat, m.Arnoldi.bhat)
-    else None
-  in
+(* PRIMA and SPRIM: the congruence projection already lives in the
+   physical pencil variable (the shift only chose the Krylov space),
+   and Krylov.project mirrors its upper triangle, so ghat/chat are
+   exactly symmetric and the symmetric-form certificate always
+   applies. SPRIM's pencil is indefinite (−ℒ̂ block), so MOD002
+   correctly reports "no definite certificate" and MOD003's
+   Hamiltonian band test carries the passivity claim. *)
+let of_projected engine (m : Krylov.model) =
   {
-    engine = `Prima;
-    g0 = m.Arnoldi.ghat;
-    g1 = m.Arnoldi.chat;
-    bin = m.Arnoldi.bhat;
-    cout = Mat.transpose m.Arnoldi.bhat;
-    nx = m.Arnoldi.order;
-    np = m.Arnoldi.p;
-    shift = m.Arnoldi.shift;
-    variable = m.Arnoldi.variable;
-    gain = m.Arnoldi.gain;
-    sym;
-    foster = None;
-    definite = false;
-  }
-
-let of_sprim (m : Sprim.t) =
-  (* like PRIMA, the split-and-re-blocked congruence lives in the
-     physical pencil variable; ghat/chat are symmetric by construction
-     (the blocks were explicitly symmetrised after projection), so the
-     symmetric-form certificate always applies. The pencil is
-     indefinite (−ℒ̂ block), so MOD002 correctly reports "no definite
-     certificate" and MOD003's Hamiltonian band test carries the
-     passivity claim. *)
-  let sym =
-    if near_symmetric m.Sprim.ghat && near_symmetric m.Sprim.chat then
-      Some (m.Sprim.ghat, m.Sprim.chat, m.Sprim.bhat)
-    else None
-  in
-  {
-    engine = `Sprim;
-    g0 = m.Sprim.ghat;
-    g1 = m.Sprim.chat;
-    bin = m.Sprim.bhat;
-    cout = Mat.transpose m.Sprim.bhat;
-    nx = m.Sprim.order;
-    np = m.Sprim.p;
-    shift = m.Sprim.shift;
-    variable = m.Sprim.variable;
-    gain = m.Sprim.gain;
-    sym;
+    engine;
+    g0 = m.Krylov.ghat;
+    g1 = m.Krylov.chat;
+    bin = m.Krylov.bhat;
+    cout = Mat.transpose m.Krylov.bhat;
+    nx = m.Krylov.order;
+    np = m.Krylov.p;
+    shift = m.Krylov.shift;
+    variable = m.Krylov.variable;
+    gain = m.Krylov.gain;
+    sym = Some (m.Krylov.ghat, m.Krylov.chat, m.Krylov.bhat);
     foster = None;
     definite = false;
   }
@@ -262,8 +233,8 @@ let of_awe (m : Awe.t) =
 let state_space = function
   | Rom.Sympvl_model m -> of_sympvl m
   | Rom.Mpvl_model m -> of_mpvl m
-  | Rom.Prima_model m -> of_prima m
-  | Rom.Sprim_model m -> of_sprim m
+  | Rom.Prima_model m -> of_projected `Prima m
+  | Rom.Sprim_model m -> of_projected `Sprim m.Sprim.proj
   | Rom.Awe_model m -> of_awe m
   | Rom.Bt_model m -> of_bt m
 

@@ -196,8 +196,7 @@ let eval model s =
   match model with
   | Sympvl_model m -> Model.eval m s
   | Mpvl_model m -> Mpvl.eval m s
-  | Prima_model m -> Arnoldi.eval m s
-  | Sprim_model m -> Sprim.eval m s
+  | Prima_model m | Sprim_model { Sprim.proj = m; _ } -> Krylov.eval m s
   | Awe_model m ->
     let z = Linalg.Cmat.create 1 1 in
     Linalg.Cmat.set z 0 0 (Awe.eval m s);
@@ -207,24 +206,21 @@ let eval model s =
 let order = function
   | Sympvl_model m -> m.Model.order
   | Mpvl_model m -> m.Mpvl.order
-  | Prima_model m -> m.Arnoldi.order
-  | Sprim_model m -> m.Sprim.order
+  | Prima_model m | Sprim_model { Sprim.proj = m; _ } -> m.Krylov.order
   | Awe_model m -> m.Awe.order
   | Bt_model m -> m.Btruncation.order
 
 let ports = function
   | Sympvl_model m -> m.Model.p
   | Mpvl_model m -> m.Mpvl.p
-  | Prima_model m -> m.Arnoldi.p
-  | Sprim_model m -> m.Sprim.p
+  | Prima_model m | Sprim_model { Sprim.proj = m; _ } -> m.Krylov.p
   | Awe_model _ -> 1
   | Bt_model m -> m.Btruncation.p
 
 let shift = function
   | Sympvl_model m -> m.Model.shift
   | Mpvl_model m -> m.Mpvl.shift
-  | Prima_model m -> m.Arnoldi.shift
-  | Sprim_model m -> m.Sprim.shift
+  | Prima_model m | Sprim_model { Sprim.proj = m; _ } -> m.Krylov.shift
   | Awe_model m -> m.Awe.shift
   | Bt_model _ -> 0.0
 
@@ -237,10 +233,10 @@ let expected_moments model =
   match model with
   | Sympvl_model m -> two_sided m.Model.order m.Model.p
   | Mpvl_model m -> two_sided m.Mpvl.order m.Mpvl.p
-  | Prima_model m -> m.Arnoldi.order / m.Arnoldi.p
+  | Prima_model m -> m.Krylov.order / m.Krylov.p
   (* the split basis spans at least PRIMA's projection subspace, so
      SPRIM inherits (at least) the PRIMA moment floor at the same
      Krylov depth *)
-  | Sprim_model m -> m.Sprim.krylov_cols / m.Sprim.p
+  | Sprim_model m -> m.Sprim.krylov_cols / m.Sprim.proj.Krylov.p
   | Awe_model m -> 2 * m.Awe.order
   | Bt_model _ -> 0

@@ -26,25 +26,18 @@
     (cf. {!Circuit.Mna.assemble_second_order}). *)
 
 type t = {
-  gn : Linalg.Mat.t;  (** [Ĝn] — reduced nodal conductance, symmetric. *)
-  cn : Linalg.Mat.t;  (** [Ĉn] — reduced nodal capacitance, symmetric. *)
-  a : Linalg.Mat.t;  (** [Â] — reduced inductor incidence, [n2 × n1]. *)
-  lmat : Linalg.Mat.t;  (** [ℒ̂] — reduced inductance, symmetric. *)
-  bn : Linalg.Mat.t;  (** [B̂] — reduced terminal incidence, [n1 × p]. *)
-  ghat : Linalg.Mat.t;  (** Re-assembled [[Ĝn, Âᵀ]; [Â, 0]]. *)
-  chat : Linalg.Mat.t;  (** Re-assembled [[Ĉn, 0]; [0, −ℒ̂]]. *)
-  bhat : Linalg.Mat.t;  (** Re-assembled [[B̂]; [0]]. *)
+  proj : Krylov.model;
+      (** The re-blocked reduced pencil [Ĝ = [[Ĝn, Âᵀ]; [Â, 0]]],
+          [Ĉ = [[Ĉn, 0]; [0, −ℒ̂]]], [B̂ = [[B̂n]; [0]]] — the same
+          first-order shape as the full model, so every downstream
+          consumer sees a small RLC descriptor; evaluate it with
+          {!Krylov.eval}. *)
   n1 : int;  (** Node-block dimension (rank of the split basis top). *)
-  n2 : int;  (** Current-block dimension. *)
-  order : int;  (** [n1 + n2] — full reduced dimension. *)
-  p : int;
-  shift : float;
+  n2 : int;  (** Current-block dimension; [proj.order = n1 + n2]. *)
   krylov_cols : int;
       (** Columns of the underlying Krylov basis before the split —
           the moment count matched is ≥ [krylov_cols / p] (the PRIMA
           floor). *)
-  variable : Circuit.Mna.variable;  (** Always [S]. *)
-  gain : Circuit.Mna.gain;  (** Always [Unit]. *)
 }
 
 val reduce :
@@ -56,21 +49,33 @@ val reduce :
   t
 (** Reduce the general RLC form to (at most) [order] Krylov columns
     before the split (the final dimension [n1 + n2] can reach twice
-    that, and saturates at the full model). Shift resolution is
-    {!Pencil.with_auto_shift}, identical to every other engine; pass
-    [ctx] to share the factorisation context. Raises
-    [Invalid_argument] unless the model is the general form
-    ([variable = S], [gain = Unit]) with a non-empty inductor-current
-    block — {!Rom.supports} reports the reason first. *)
+    that, and saturates at the full model). The basis is
+    {!Krylov.basis} at the {!Pencil.with_auto_shift} point, identical
+    to PRIMA's; the projection is {!Krylov.project} with
+    [W = blkdiag(V₁, V₂)]. Pass [ctx] to share the factorisation
+    context. Raises [Invalid_argument] unless the model is the
+    general form ([variable = S], [gain = Unit]) with a non-empty
+    inductor-current block — {!Rom.supports} reports the reason
+    first. *)
 
-val eval : t -> Complex.t -> Linalg.Cmat.t
-(** [B̂ᵀ(Ĝ + s·Ĉ)⁻¹B̂] on the re-assembled blocks (general-form
-    conventions: unit gain, pencil in [s]). *)
+(** {1 Blocks of the reduced pencil} *)
+
+val gn : t -> Linalg.Mat.t
+(** [Ĝn] — reduced nodal conductance, symmetric. *)
+
+val cn : t -> Linalg.Mat.t
+(** [Ĉn] — reduced nodal capacitance, symmetric. *)
+
+val a : t -> Linalg.Mat.t
+(** [Â] — reduced inductor incidence, [n2 × n1]. *)
+
+val lmat : t -> Linalg.Mat.t
+(** [ℒ̂] — reduced inductance, symmetric. *)
+
+val bn : t -> Linalg.Mat.t
+(** [B̂n] — reduced terminal incidence, [n1 × p]. *)
 
 val structure_error : t -> float
-(** Largest relative asymmetry over [Ĝn], [Ĉn], [ℒ̂] — exactly 0.0 up
-    to the explicit symmetrisation of the congruence blocks; the
-    bench gate pins it. *)
-
-val poles : t -> Complex.t array
-(** Physical poles of the reduced pencil. *)
+(** Largest relative asymmetry over [Ĝn], [Ĉn], [ℒ̂] — exactly 0.0,
+    since {!Krylov.congruence} mirrors its upper triangle; the bench
+    gate pins it. *)

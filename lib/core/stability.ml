@@ -22,32 +22,6 @@ let passivity_certificate ?(tol = 1e-9) model =
     if tmin >= -.tol *. scale then Certified else Indefinite_t tmin
   end
 
-(* the SyMPVL arm of the engine-uniform certify adapter, inlined:
-   Z(var) = ρᵀΔ(I − s₀T + var·T)⁻¹ρ, then augmented to physical s.
-   (Certify sits above this module in the dependency order — Contract
-   needs Stability — so the construction is mirrored here; the certify
-   test pins the two against each other.) *)
-let model_pencil (model : Model.t) =
-  let module Mat = Linalg.Mat in
-  let n = model.Model.order in
-  let g1 = model.Model.t_mat in
-  let g0 =
-    if model.Model.shift = 0.0 then Mat.identity n
-    else Mat.sub (Mat.identity n) (Mat.scale model.Model.shift g1)
-  in
-  Linalg.Hamiltonian.augment
-    ~square_var:(model.Model.variable = Circuit.Mna.S_squared)
-    ~times_s:(model.Model.gain = Circuit.Mna.Times_s)
-    {
-      Linalg.Hamiltonian.a0 = g0;
-      a1 = g1;
-      b = model.Model.rho;
-      c = Mat.mul (Mat.transpose model.Model.rho) model.Model.delta;
-    }
-
-let passivity_bands ?tol model =
-  Linalg.Hamiltonian.violation_bands ?tol (model_pencil model)
-
 let unstable_poles model =
   let scale = pole_scale model in
   Array.of_list

@@ -18,20 +18,10 @@ type passivity_certificate =
       (** [J = I] but [Tₙ] has the given negative eigenvalue. *)
   | Not_applicable
       (** Indefinite [J] (general RLC) or a nonzero expansion shift:
-          no structural certificate; use {!passivity_bands}. *)
+          no structural certificate; the Hamiltonian band test
+          ({!Linalg.Hamiltonian.violation_bands} on
+          {!Certify.phys_pencil}) decides. *)
 
 val passivity_certificate : ?tol:float -> Model.t -> passivity_certificate
-
-val model_pencil : Model.t -> Linalg.Hamiltonian.pencil
-(** The model's physical-frequency descriptor pencil — the same
-    realisation the engine-uniform [symor certify] adapter
-    ({!Certify.state_space}) produces for a SyMPVL model. *)
-
-val passivity_bands : ?tol:float -> Model.t -> Linalg.Hamiltonian.band list
-(** Exact passivity violation bands of the model via the Hamiltonian
-    imaginary-axis eigenvalue test
-    ({!Linalg.Hamiltonian.violation_bands}) — finds every interval
-    where [min eig Re Z(jω) < −tol·|Z|], including bands narrower than
-    any sampling grid. Empty list ⇒ passive on the whole axis. *)
 
 val unstable_poles : Model.t -> Complex.t array

@@ -103,30 +103,46 @@ let rank ?(tol = 1e-12) t =
   done;
   !cnt
 
-let orthonormalize a =
-  let open Mat in
-  let m = a.rows and n = a.cols in
-  let kept = ref [] in
-  let nkept = ref 0 in
-  let tol = 1e-10 in
-  for j = 0 to n - 1 do
-    let v = col a j in
-    let nrm0 = Vec.norm2 v in
-    (* two passes of modified Gram–Schmidt for robustness *)
-    for _pass = 1 to 2 do
-      List.iter
-        (fun q ->
-          let c = Vec.dot q v in
-          Vec.axpy (-.c) q v)
-        !kept
-    done;
-    let nrm = Vec.norm2 v in
-    if nrm > tol *. Float.max nrm0 1e-300 && nrm > 0.0 then begin
-      Vec.scale_ip (1.0 /. nrm) v;
-      kept := !kept @ [ v ];
-      incr nkept
+(* Two-pass modified Gram–Schmidt over a column store preallocated to
+   a fixed capacity. A candidate whose norm falls below 1e-10 of its
+   input norm after both passes is numerically dependent and dropped. *)
+module Mgs = struct
+  type t = { store : Vec.t array; mutable count : int }
+
+  let create capacity = { store = Array.make capacity [||]; count = 0 }
+  let count t = t.count
+  let full t = t.count >= Array.length t.store
+  let col t k = t.store.(k)
+  let columns t = Array.sub t.store 0 t.count
+
+  let push t v =
+    if full t then false
+    else begin
+      let w = Vec.copy v in
+      let n0 = Vec.norm2 w in
+      for _pass = 1 to 2 do
+        for k = 0 to t.count - 1 do
+          let q = t.store.(k) in
+          let h = Vec.dot q w in
+          Vec.axpy (-.h) q w
+        done
+      done;
+      let n1 = Vec.norm2 w in
+      if n1 > 1e-10 *. Float.max n0 1e-300 then begin
+        Vec.scale_ip (1.0 /. n1) w;
+        t.store.(t.count) <- w;
+        t.count <- t.count + 1;
+        true
+      end
+      else false
     end
+end
+
+let orthonormalize a =
+  let acc = Mgs.create a.Mat.cols in
+  for j = 0 to a.Mat.cols - 1 do
+    ignore (Mgs.push acc (Mat.col a j))
   done;
-  let q = create m !nkept in
-  List.iteri (fun j v -> set_col q j v) !kept;
-  (q, !nkept)
+  let q = Mat.create a.Mat.rows (Mgs.count acc) in
+  Array.iteri (fun j v -> Mat.set_col q j v) (Mgs.columns acc);
+  (q, Mgs.count acc)

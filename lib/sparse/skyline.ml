@@ -4,12 +4,11 @@ module type FIELD = sig
   type t
 
   val zero : t
-  val one : t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
   val div : t -> t -> t
   val abs : t -> float
+  val dot_sub : t -> t array -> int -> t array -> int -> int -> t
+  val dot3_sub : t -> t array -> int -> t array -> int -> t array -> int -> int -> t
+  val axpy_sub : t -> t array -> int -> t array -> int -> int -> unit
 end
 
 module type SOLVER = sig
@@ -62,19 +61,12 @@ module Make (F : FIELD) = struct
       for j = fi to i - 1 do
         let fj = first.(j) in
         let k0 = max fi fj in
-        let s = ref (get i j) in
-        for k = k0 to j - 1 do
-          s := F.sub !s (F.mul (F.mul ri.(k - fi) diag.(k)) rows.(j).(k - fj))
-        done;
-        ri.(j - fi) <- F.div !s diag.(j)
+        let s = F.dot3_sub (get i j) ri (k0 - fi) diag k0 rows.(j) (k0 - fj) (j - k0) in
+        ri.(j - fi) <- F.div s diag.(j)
       done;
-      let s = ref (get i i) in
-      for k = fi to i - 1 do
-        let lik = ri.(k - fi) in
-        s := F.sub !s (F.mul (F.mul lik lik) diag.(k))
-      done;
-      if F.abs !s <= breakdown then raise (Singular i);
-      diag.(i) <- !s
+      let s = F.dot3_sub (get i i) ri 0 ri 0 diag fi (i - fi) in
+      if F.abs s <= breakdown then raise (Singular i);
+      diag.(i) <- s
     done;
     (* fp sanitizer (SYMOR_SAN=fp): scan the factor for NaN/Inf and
        monitor element growth against the input diagonal scale — reads
@@ -110,12 +102,7 @@ module Make (F : FIELD) = struct
     let y = Array.copy b in
     for i = 0 to t.n - 1 do
       let fi = t.first.(i) in
-      let ri = t.rows.(i) in
-      let s = ref y.(i) in
-      for k = fi to i - 1 do
-        s := F.sub !s (F.mul ri.(k - fi) y.(k))
-      done;
-      y.(i) <- !s
+      y.(i) <- F.dot_sub y.(i) t.rows.(i) 0 y fi (i - fi)
     done;
     y
 
@@ -123,12 +110,8 @@ module Make (F : FIELD) = struct
     assert (Array.length b = t.n);
     let y = Array.copy b in
     for i = t.n - 1 downto 0 do
-      let yi = y.(i) in
       let fi = t.first.(i) in
-      let ri = t.rows.(i) in
-      for k = fi to i - 1 do
-        y.(k) <- F.sub y.(k) (F.mul ri.(k - fi) yi)
-      done
+      F.axpy_sub y.(i) t.rows.(i) 0 y fi (i - fi)
     done;
     y
 
@@ -146,28 +129,61 @@ module Make (F : FIELD) = struct
     y
 end
 
+(* The inner loops live in the field so each runs monomorphically:
+   the real kernels work on unboxed floats instead of boxing every
+   flop through the functor. Terms are subtracted left to right. *)
 module Real = Make (struct
   type t = float
 
   let zero = 0.0
-  let one = 1.0
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
   let div = ( /. )
   let abs = Float.abs
+
+  let dot_sub s x xo y yo len =
+    let s = ref s in
+    for k = 0 to len - 1 do
+      s := !s -. (x.(xo + k) *. y.(yo + k))
+    done;
+    !s
+
+  let dot3_sub s x xo w wo y yo len =
+    let s = ref s in
+    for k = 0 to len - 1 do
+      s := !s -. (x.(xo + k) *. w.(wo + k) *. y.(yo + k))
+    done;
+    !s
+
+  let axpy_sub a x xo y yo len =
+    for k = 0 to len - 1 do
+      y.(yo + k) <- y.(yo + k) -. (x.(xo + k) *. a)
+    done
 end)
 
 module Complex_sym = Make (struct
   type t = Complex.t
 
   let zero = Complex.zero
-  let one = Complex.one
-  let add = Complex.add
-  let sub = Complex.sub
-  let mul = Complex.mul
   let div = Complex.div
   let abs = Complex.norm
+
+  let dot_sub s x xo y yo len =
+    let s = ref s in
+    for k = 0 to len - 1 do
+      s := Complex.sub !s (Complex.mul x.(xo + k) y.(yo + k))
+    done;
+    !s
+
+  let dot3_sub s x xo w wo y yo len =
+    let s = ref s in
+    for k = 0 to len - 1 do
+      s := Complex.sub !s (Complex.mul (Complex.mul x.(xo + k) w.(wo + k)) y.(yo + k))
+    done;
+    !s
+
+  let axpy_sub a x xo y yo len =
+    for k = 0 to len - 1 do
+      y.(yo + k) <- Complex.sub y.(yo + k) (Complex.mul x.(xo + k) a)
+    done
 end)
 
 let envelope_of_csr a =

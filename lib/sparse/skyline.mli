@@ -18,12 +18,19 @@ module type FIELD = sig
   type t
 
   val zero : t
-  val one : t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
   val div : t -> t -> t
   val abs : t -> float
+
+  val dot_sub : t -> t array -> int -> t array -> int -> int -> t
+  (** [dot_sub s x xo y yo len] is [s − Σₖ x.(xo+k)·y.(yo+k)] over
+      [k = 0 .. len−1], subtracting term by term in that order. *)
+
+  val dot3_sub : t -> t array -> int -> t array -> int -> t array -> int -> int -> t
+  (** [dot3_sub s x xo w wo y yo len] is the same with the terms
+      [(x.(xo+k)·w.(wo+k))·y.(yo+k)]. *)
+
+  val axpy_sub : t -> t array -> int -> t array -> int -> int -> unit
+  (** [axpy_sub a x xo y yo len] sets [y.(yo+k) ← y.(yo+k) − x.(xo+k)·a]. *)
 end
 
 module type SOLVER = sig

@@ -23,19 +23,19 @@ exception Not_synthesizable = Multiport.Not_synthesizable
    uncoupled branch inductors L = 1/γ, so no K cards are needed in
    the output even though the input model carries a dense ℒ̂. *)
 let synthesize ?(drop_tol = 1e-9) ~port_names (m : Sympvl.Sprim.t) =
-  let p = m.Sympvl.Sprim.p in
+  let p = m.Sympvl.Sprim.proj.Sympvl.Krylov.p in
   if Array.length port_names <> p then invalid_arg "Rlck.synthesize: port name count";
   let n1 = m.Sympvl.Sprim.n1 and n2 = m.Sympvl.Sprim.n2 in
   if n1 < p then raise (Not_synthesizable "node block smaller than port count");
-  let s1 = Multiport.port_aligning_transform m.Sympvl.Sprim.bn in
-  let d' = Linalg.Mat.sym_part (Linalg.Mat.congruence s1 m.Sympvl.Sprim.gn) in
-  let m' = Linalg.Mat.sym_part (Linalg.Mat.congruence s1 m.Sympvl.Sprim.cn) in
+  let s1 = Multiport.port_aligning_transform (Sympvl.Sprim.bn m) in
+  let d' = Linalg.Mat.sym_part (Linalg.Mat.congruence s1 (Sympvl.Sprim.gn m)) in
+  let m' = Linalg.Mat.sym_part (Linalg.Mat.congruence s1 (Sympvl.Sprim.cn m)) in
   let k' =
     if n2 = 0 then Linalg.Mat.create n1 n1
     else begin
-      let a' = Linalg.Mat.mul m.Sympvl.Sprim.a s1 in
+      let a' = Linalg.Mat.mul (Sympvl.Sprim.a m) s1 in
       let ch =
-        try Linalg.Chol.factor m.Sympvl.Sprim.lmat
+        try Linalg.Chol.factor (Sympvl.Sprim.lmat m)
         with Linalg.Chol.Not_positive_definite _ ->
           raise
             (Not_synthesizable "reduced inductance block is not positive definite")

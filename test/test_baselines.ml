@@ -138,7 +138,9 @@ let test_stability_certified_rc () =
   | Stability.Indefinite_t x -> Alcotest.failf "unexpected indefinite T: %g" x
   | Stability.Not_applicable -> Alcotest.fail "certificate should apply");
   Alcotest.(check bool) "no violation bands" true
-    (Stability.passivity_bands model = [])
+    (Linalg.Hamiltonian.violation_bands
+       (Sympvl.Certify.phys_pencil (Sympvl.Certify.state_space (Sympvl.Rom.Sympvl_model model)))
+    = [])
 
 let test_stability_not_applicable_shifted () =
   let nl = Circuit.Generators.rc_line ~sections:10 () in

@@ -3,24 +3,23 @@
    1. Narrow-band acceptance: a hand-built near-passive model whose
       only passivity violation is a band ~ω₀/500 wide, placed between
       the points of the legacy 16-point sampling grid. The Hamiltonian
-      test (Certify / Stability.passivity_bands) must locate the band;
+      test (Certify.phys_pencil + Hamiltonian.violation_bands) must
+      locate the band;
       the deprecated grid sampler must come back empty — that is the
       whole argument for replacing it.
    2. Cross-engine adapter: every engine in Rom.all is routed through
       the one Certify.state_space adapter and the resulting descriptor
-      realisation must reproduce Rom.eval on the imaginary axis.
-   3. Pin: Stability.model_pencil (the inlined SyMPVL arm) equals the
-      pencil Certify builds for the same model.
-   4. qcheck property: a lint-clean all-positive RC netlist reduced at
+      realisation must reproduce Rom.eval on the imaginary axis
+      (a shifted SyMPVL model and an s²-variable one included).
+   3. qcheck property: a lint-clean all-positive RC netlist reduced at
       shift 0 certifies structurally passive (MOD002) with no MOD001 /
       MOD003 complaint, for every supported engine.
-   5. Registry: the codes Certify emits are exactly the documented
+   4. Registry: the codes Certify emits are exactly the documented
       Analysis.Mod_rules table. *)
 
 module Rom = Sympvl.Rom
 module Certify = Sympvl.Certify
 module Model = Sympvl.Model
-module Stability = Sympvl.Stability
 module H = Linalg.Hamiltonian
 module Mat = Linalg.Mat
 module D = Circuit.Diagnostic
@@ -101,9 +100,11 @@ let test_narrow_band () =
       if me < -.1e-9 *. scale then
         Alcotest.failf "legacy grid sees the violation at %g rad/s (λ = %g)" w me)
     legacy_grid;
-  (* the Hamiltonian test, through the same pencil certify uses,
-     locates it exactly *)
-  let bands = Stability.passivity_bands m in
+  (* the Hamiltonian test on the pencil certify builds locates it
+     exactly *)
+  let bands =
+    H.violation_bands (Certify.phys_pencil (Certify.state_space (Rom.Sympvl_model m)))
+  in
   Alcotest.(check int) "exactly one violation band" 1 (List.length bands);
   let b = List.hd bands in
   Alcotest.(check bool)
@@ -114,15 +115,7 @@ let test_narrow_band () =
     (b.H.w_hi -. b.H.w_lo < w0 /. 250.0);
   Alcotest.(check bool)
     "worst depth ≈ −1" true
-    (Float.abs (b.H.lambda_min +. 1.0) < 1e-3);
-  (* and the certify adapter reports the same band on the same model *)
-  let phys = Certify.phys_pencil (Certify.state_space (Rom.Sympvl_model m)) in
-  match H.violation_bands phys with
-  | [ b' ] ->
-    Alcotest.(check bool)
-      "certify band agrees with Stability.passivity_bands" true
-      (Float.abs (b'.H.w_worst -. b.H.w_worst) < 1e-6 *. w0)
-  | bs -> Alcotest.failf "certify found %d bands, expected 1" (List.length bs)
+    (Float.abs (b.H.lambda_min +. 1.0) < 1e-3)
 
 (* ------------------------------------------------------------------ *)
 (* 2. every engine through the one adapter                             *)
@@ -140,6 +133,7 @@ let adapter_opts eng (m : Circuit.Mna.t) =
 
 let test_adapter_all_engines () =
   let exercised = ref [] in
+  let shifted_sympvl = ref false in
   let probe (m : Circuit.Mna.t) eng =
     match Rom.supports eng m with
     | Error _ -> ()
@@ -147,6 +141,7 @@ let test_adapter_all_engines () =
       let opts = adapter_opts eng m in
       let model = Rom.reduce ~opts ~order:opts.Rom.order eng m in
       let r = Certify.state_space model in
+      if eng = `Sympvl && Rom.shift model <> 0.0 then shifted_sympvl := true;
       Alcotest.(check bool)
         (Rom.name eng ^ ": adapter reports the engine") true
         (r.Certify.engine = eng);
@@ -166,9 +161,13 @@ let test_adapter_all_engines () =
       if not (List.mem eng !exercised) then exercised := eng :: !exercised
   in
   (* peec_coupled carries the general-form inductor-current block the
-     sprim leg needs *)
-  let mnas = [ mna_of "rc_line"; mna_of "lc_tank"; mna_of "peec_coupled"; bt_mna () ] in
+     sprim leg needs; rl_ladder reduces about a nonzero shift and
+     lc_tank in the s² variable, exercising the augmentation arms *)
+  let mnas =
+    [ mna_of "rc_line"; mna_of "rl_ladder"; mna_of "lc_tank"; mna_of "peec_coupled"; bt_mna () ]
+  in
   List.iter (fun m -> List.iter (probe m) Rom.all) mnas;
+  Alcotest.(check bool) "a shifted SyMPVL model went through the adapter" true !shifted_sympvl;
   List.iter
     (fun eng ->
       Alcotest.(check bool)
@@ -177,37 +176,7 @@ let test_adapter_all_engines () =
     Rom.all
 
 (* ------------------------------------------------------------------ *)
-(* 3. Stability.model_pencil ≡ the certify adapter                     *)
-
-let test_pencil_pin () =
-  let check name (m : Model.t) =
-    let a = Stability.model_pencil m in
-    let b = Certify.phys_pencil (Certify.state_space (Rom.Sympvl_model m)) in
-    let eq what x y =
-      Alcotest.(check (float 0.0)) (name ^ ": " ^ what) 0.0 (Mat.dist_max x y)
-    in
-    eq "a0" a.H.a0 b.H.a0;
-    eq "a1" a.H.a1 b.H.a1;
-    eq "b" a.H.b b.H.b;
-    eq "c" a.H.c b.H.c
-  in
-  check "narrow-band model" (narrow_band_model ());
-  (match Sympvl.Reduce.mna ~order:6 (mna_of "rc_line") with
-  | m -> check "rc_line" m);
-  (* a shifted and an s²-variable model exercise the augmentation arms *)
-  (match Sympvl.Reduce.mna ~order:4 (mna_of "rl_ladder") with
-  | m ->
-    Alcotest.(check bool) "rl_ladder model is shifted" true (m.Model.shift <> 0.0);
-    check "rl_ladder (shifted)" m);
-  match Sympvl.Reduce.mna ~order:3 (mna_of "lc_tank") with
-  | m ->
-    Alcotest.(check bool)
-      "lc_tank model is s²-variable" true
-      (m.Model.variable = Circuit.Mna.S_squared);
-    check "lc_tank (s², ×s gain)" m
-
-(* ------------------------------------------------------------------ *)
-(* 4. property: clean RC at shift 0 certifies passive on every engine  *)
+(* 3. property: clean RC at shift 0 certifies passive on every engine  *)
 
 let prop_clean_rc_certifies =
   QCheck.Test.make ~count:12
@@ -263,7 +232,7 @@ let prop_clean_rc_certifies =
         Rom.all)
 
 (* ------------------------------------------------------------------ *)
-(* 5. registry cross-check                                             *)
+(* 4. registry cross-check                                             *)
 
 let test_registry () =
   let codes = List.map (fun (c, _, _) -> c) Analysis.Mod_rules.rules in
@@ -300,8 +269,6 @@ let () =
         [ Alcotest.test_case "found by Hamiltonian, missed by grid" `Quick test_narrow_band ] );
       ( "adapter",
         [ Alcotest.test_case "all engines through state_space" `Quick test_adapter_all_engines ] );
-      ( "pencil pin",
-        [ Alcotest.test_case "Stability.model_pencil = certify" `Quick test_pencil_pin ] );
       ("properties", [ Qtest.to_alcotest prop_clean_rc_certifies ]);
       ("registry", [ Alcotest.test_case "codes documented" `Quick test_registry ]);
     ]

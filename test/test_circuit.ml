@@ -132,6 +132,17 @@ let test_parser_roundtrip () =
   Alcotest.(check bool) "roundtrip stats" true
     (Circuit.Netlist.stats nl2 = s && Circuit.Netlist.port_count nl2 = 2)
 
+(* a 3 600-node grid: printing interns no name twice and costs one
+   node-name lookup per terminal, and every name survives the reparse *)
+let test_parser_large_roundtrip () =
+  let module N = Circuit.Netlist in
+  let nl = Circuit.Generators.rc_grid ~rows:60 ~cols:60 () in
+  let nl2 = Circuit.Parser.parse_string (Circuit.Parser.to_string nl) in
+  let names t = List.sort compare (List.init (N.num_nodes t) (fun k -> N.node_name t (k + 1))) in
+  Alcotest.(check int) "node count" 3600 (N.num_nodes nl);
+  Alcotest.(check (list string)) "every node name" (names nl) (names nl2);
+  Alcotest.(check bool) "same stats" true (N.stats nl2 = N.stats nl)
+
 let test_parser_mutual_and_errors () =
   let text = "L1 a 0 1n\nL2 b 0 1n\nK1 L1 L2 0.8\n.port p a\n" in
   let nl = Circuit.Parser.parse_string text in
@@ -431,6 +442,7 @@ let () =
         [
           Alcotest.test_case "engineering values" `Quick test_parser_values;
           Alcotest.test_case "roundtrip" `Quick test_parser_roundtrip;
+          Alcotest.test_case "large roundtrip" `Quick test_parser_large_roundtrip;
           Alcotest.test_case "mutual and errors" `Quick test_parser_mutual_and_errors;
         ] );
       ( "mna",
