@@ -46,21 +46,6 @@ let jobs_arg =
 
 let apply_jobs = function None -> () | Some j -> Parallel.set_jobs j
 
-let factor_arg =
-  let doc =
-    "Force the sparse factorisation backend: $(b,skyline) (RCM ordering + \
-     envelope), $(b,supernodal) (AMD ordering + blocked panels), or $(b,auto) \
-     (per-pattern plan; the default). Equivalent to $(b,SYMOR_FACTOR); the \
-     flag wins. Both backends produce the same solutions to rounding; \
-     $(b,symor analyze) reports what auto would pick and why."
-  in
-  let backend =
-    Arg.enum [ ("auto", `Auto); ("skyline", `Skyline); ("supernodal", `Supernodal) ]
-  in
-  Arg.(value & opt (some backend) None & info [ "factor" ] ~docv:"BACKEND" ~doc)
-
-let apply_factor = function None -> () | Some b -> Sympvl.Factor.set_backend b
-
 let trace_arg =
   let doc =
     "Record an execution trace (spans, counters, deflation/escalation events) and \
@@ -73,7 +58,7 @@ let trace_arg =
 let stats_arg =
   let doc =
     "Print an observability summary to stderr after the run: per-span call counts \
-     and wall time, counters (deflations, factor nnz, flop estimates, AC points) \
+     and wall time, counters (deflations, factor nnz, fallbacks, AC points) \
      and gauges. See the README counter glossary."
   in
   Arg.(value & flag & info [ "stats" ] ~doc)
@@ -210,13 +195,9 @@ let info_cmd =
           st.Analysis.Struct_rules.largest_block;
       let ord = Analysis.Struct_rules.orderings mna in
       Format.printf
-        "factor backends: RCM+skyline stores %d, AMD+supernodal %d \
-         (predicted factor nnz — natural %d, RCM %d, AMD %d); plan picks %s@."
-        ord.Analysis.Struct_rules.skyline_stored
-        ord.Analysis.Struct_rules.supernodal_stored
+        "predicted factor nnz: natural %d, RCM %d, AMD %d@."
         ord.Analysis.Struct_rules.natural_nnz ord.Analysis.Struct_rules.rcm_nnz
-        ord.Analysis.Struct_rules.amd_nnz
-        (Analysis.Struct_rules.backend_name ord.Analysis.Struct_rules.backend_pick);
+        ord.Analysis.Struct_rules.amd_nnz;
       let so = Circuit.Mna.second_order_stats nl in
       Format.printf
         "second-order: %s; inductor loops = %d; coupling density = %.3f@."
@@ -373,10 +354,9 @@ let certify_cmd =
     in
     Arg.(value & opt (some float) None & info [ "shift" ] ~docv:"S0" ~doc)
   in
-  let run path engine order shift band json strict quiet jobs factor trace stats =
+  let run path engine order shift band json strict quiet jobs trace stats =
    safely ~netlist:path @@ fun () ->
     apply_jobs jobs;
-    apply_factor factor;
     with_obs trace stats @@ fun () ->
     let engines =
       if engine = "all" then Sympvl.Rom.all
@@ -432,7 +412,7 @@ let certify_cmd =
   Cmd.v (Cmd.info "certify" ~doc)
     Term.(
       const run $ netlist_arg $ engine_arg $ order_arg $ shift_arg $ band_arg
-      $ json_arg $ strict_arg $ quiet_arg $ jobs_arg $ factor_arg $ trace_arg
+      $ json_arg $ strict_arg $ quiet_arg $ jobs_arg $ trace_arg
       $ stats_arg)
 
 let reduce_cmd =
@@ -539,7 +519,7 @@ let reduce_cmd =
       if cert_exit > 0 then exit cert_exit
   in
   let run verbose path order band shift engine synth_out poles check certify strict
-      adaptive jobs factor trace stats =
+      adaptive jobs trace stats =
     (if engine = "help" then begin
        List.iter
          (fun e -> Printf.printf "%-8s %s\n" (Sympvl.Rom.name e) (Sympvl.Rom.describe e))
@@ -553,7 +533,6 @@ let reduce_cmd =
    safely ~netlist:path @@ fun () ->
     setup_logs verbose;
     apply_jobs jobs;
-    apply_factor factor;
     with_obs trace stats @@ fun () ->
     let eng =
       match Sympvl.Rom.of_name engine with
@@ -693,7 +672,7 @@ let reduce_cmd =
     Term.(
       const run $ verbose_arg $ netlist_arg $ order_arg $ band_arg $ shift_arg
       $ engine_arg $ synth_arg $ poles_arg $ check_arg $ certify_arg $ strict_arg
-      $ adaptive_arg $ jobs_arg $ factor_arg $ trace_arg $ stats_arg)
+      $ adaptive_arg $ jobs_arg $ trace_arg $ stats_arg)
 
 let ac_cmd =
   let points_arg =
@@ -701,10 +680,9 @@ let ac_cmd =
   in
   let flo_arg = Arg.(value & opt float 1e6 & info [ "flo" ] ~doc:"Start frequency, Hz.") in
   let fhi_arg = Arg.(value & opt float 1e10 & info [ "fhi" ] ~doc:"Stop frequency, Hz.") in
-  let run path flo fhi points jobs factor trace stats =
+  let run path flo fhi points jobs trace stats =
    safely ~netlist:path @@ fun () ->
     apply_jobs jobs;
-    apply_factor factor;
     with_obs trace stats @@ fun () ->
     let nl = load path in
     let mna = Circuit.Mna.auto nl in
@@ -733,7 +711,7 @@ let ac_cmd =
   let doc = "Exact AC sweep (CSV on stdout)." in
   Cmd.v (Cmd.info "ac" ~doc)
     Term.(
-      const run $ netlist_arg $ flo_arg $ fhi_arg $ points_arg $ jobs_arg $ factor_arg
+      const run $ netlist_arg $ flo_arg $ fhi_arg $ points_arg $ jobs_arg
       $ trace_arg $ stats_arg)
 
 let sparams_cmd =
@@ -743,10 +721,9 @@ let sparams_cmd =
   let flo_arg = Arg.(value & opt float 1e6 & info [ "flo" ] ~doc:"Start frequency, Hz.") in
   let fhi_arg = Arg.(value & opt float 1e10 & info [ "fhi" ] ~doc:"Stop frequency, Hz.") in
   let z0_arg = Arg.(value & opt float 50.0 & info [ "z0" ] ~doc:"Reference impedance, ohms.") in
-  let run path flo fhi points z0 jobs factor trace stats =
+  let run path flo fhi points z0 jobs trace stats =
    safely ~netlist:path @@ fun () ->
     apply_jobs jobs;
-    apply_factor factor;
     with_obs trace stats @@ fun () ->
     let nl = load path in
     let mna = Circuit.Mna.auto nl in
@@ -777,7 +754,7 @@ let sparams_cmd =
   Cmd.v (Cmd.info "sparams" ~doc)
     Term.(
       const run $ netlist_arg $ flo_arg $ fhi_arg $ points_arg $ z0_arg $ jobs_arg
-      $ factor_arg $ trace_arg $ stats_arg)
+      $ trace_arg $ stats_arg)
 
 let tran_cmd =
   let dt_arg = Arg.(value & opt float 1e-11 & info [ "dt" ] ~doc:"Time step, s.") in
@@ -786,9 +763,8 @@ let tran_cmd =
     let doc = "Comma-separated node names to record." in
     Arg.(required & opt (some (list string)) None & info [ "observe" ] ~doc)
   in
-  let run path dt tstop observe factor =
+  let run path dt tstop observe =
    safely ~netlist:path @@ fun () ->
-    apply_factor factor;
     let nl = load path in
     let nodes = List.map (Circuit.Netlist.node nl) observe in
     let opts = Simulate.Transient.default ~dt ~t_stop:tstop in
@@ -805,7 +781,7 @@ let tran_cmd =
   in
   let doc = "Transient simulation (CSV on stdout)." in
   Cmd.v (Cmd.info "tran" ~doc)
-    Term.(const run $ netlist_arg $ dt_arg $ tstop_arg $ observe_arg $ factor_arg)
+    Term.(const run $ netlist_arg $ dt_arg $ tstop_arg $ observe_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / request: the daemon and its one-shot client                 *)
@@ -847,10 +823,9 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "cache-entries" ] ~docv:"N" ~doc)
   in
-  let run socket port host entries jobs factor stats =
+  let run socket port host entries jobs stats =
    safely @@ fun () ->
     apply_jobs jobs;
-    apply_factor factor;
     let addr = resolve_addr socket port host in
     let cfg =
       { (Serve.Server.default_config addr) with Serve.Server.max_entries = entries }
@@ -876,7 +851,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ socket_arg $ port_arg $ host_arg $ entries_arg $ jobs_arg
-      $ factor_arg $ stats_arg)
+      $ stats_arg)
 
 let request_cmd =
   let lines_arg =

@@ -38,16 +38,9 @@ type ordering_report = {
   natural_profile : int;
   rcm_profile : int;
   best : ordering;
-  skyline_stored : int;
-  supernodal_stored : int;
-  backend_pick : [ `Skyline | `Supernodal ];
 }
 
 let ordering_name = function Natural -> "natural" | Rcm -> "RCM" | Amd -> "AMD"
-
-let backend_name = function
-  | `Skyline -> "RCM+skyline"
-  | `Supernodal -> "AMD+supernodal"
 
 let lower_nnz pat =
   let c = ref 0 in
@@ -94,28 +87,7 @@ let orderings m =
     else if rcm_nnz < natural_nnz then Rcm
     else Natural
   in
-  (* what each Factor backend would store, and the pick the pipeline's
-     own planner makes on this pattern (one source of truth: the same
-     Sympvl.Factor.plan every factorisation goes through, including any
-     SYMOR_FACTOR override in effect) *)
-  let skyline_stored = rcm_profile + m.M.n in
-  let supernodal_stored = amd_nnz in
-  let backend_pick =
-    match Sympvl.Factor.plan pat with
-    | `Skyline _ -> `Skyline
-    | `Supernodal _ -> `Supernodal
-  in
-  {
-    natural_nnz;
-    rcm_nnz;
-    amd_nnz;
-    natural_profile;
-    rcm_profile;
-    best;
-    skyline_stored;
-    supernodal_stored;
-    backend_pick;
-  }
+  { natural_nnz; rcm_nnz; amd_nnz; natural_profile; rcm_profile; best }
 
 let line_of = function Some { N.line } -> Some line | None -> None
 
@@ -261,12 +233,9 @@ let run ?(fill_threshold = 10.0) nl m =
       (D.info "STR006"
          (Printf.sprintf
             "ordering: predicted LDLᵀ factor nonzeros — natural %d, RCM %d, \
-             AMD %d (skyline envelope: natural %d, RCM %d); recommended: %s; \
-             factor backend: RCM+skyline stores %d vs AMD+supernodal %d — \
-             plan picks %s"
+             AMD %d (envelope: natural %d, RCM %d); recommended: %s"
             ord.natural_nnz ord.rcm_nnz ord.amd_nnz ord.natural_profile
-            ord.rcm_profile (ordering_name ord.best) ord.skyline_stored
-            ord.supernodal_stored (backend_name ord.backend_pick)));
+            ord.rcm_profile (ordering_name ord.best)));
     if st.blocks > 1 then
       emit
         (D.info "STR007"

@@ -71,27 +71,16 @@ type ordering_report = {
   rcm_nnz : int;
   amd_nnz : int;  (** Predicted factor nnz ({!Sparse.Etree}) each. *)
   natural_profile : int;
-  rcm_profile : int;  (** Envelope the skyline backend would fill. *)
+  rcm_profile : int;  (** Envelope ({!Sparse.Csr.profile}) under each. *)
   best : ordering;
       (** Smallest predicted factor nnz; ties prefer the cheaper
           machinery ([Natural] over [Rcm] over [Amd]). *)
-  skyline_stored : int;
-      (** Entries the RCM+skyline backend stores (envelope + diagonal). *)
-  supernodal_stored : int;
-      (** Entries the AMD+supernodal backend stores (exactly the AMD
-          predicted factor nnz — {!Sparse.Supernodal} is fill-exact). *)
-  backend_pick : [ `Skyline | `Supernodal ];
-      (** The decision [Sympvl.Factor.plan] makes on this pattern —
-          the backend a reduction of this netlist will actually use,
-          including any [SYMOR_FACTOR] override in effect. *)
 }
 
 val orderings : Circuit.Mna.t -> ordering_report
 (** Measured ordering comparison on the pencil pattern. *)
 
 val ordering_name : ordering -> string
-
-val backend_name : [ `Skyline | `Supernodal ] -> string
 
 val run :
   ?fill_threshold:float ->

@@ -140,7 +140,7 @@ val rc_grid :
 (** Power-grid-style 2D RC mesh: resistors along the grid edges, a
     grounded capacitor at every node, and a port every [pitch_pads]
     nodes along the boundary (default 4) — a workload with genuinely
-    two-dimensional sparsity (exercises RCM / skyline fill). The
+    two-dimensional sparsity (exercises AMD ordering and fill). The
     corner node is tied to ground through [r_per_edge] so the grid has
     a DC path. Defaults: 2 Ω edges, 10 fF nodes. *)
 

@@ -144,7 +144,7 @@ val linearize : second_order -> t
     {b The companion pencil is nonsymmetric} (the symmetric companion
     [[[K,0];[0,−M]] + s[[D,M];[M,0]]] is singular for every [s]
     whenever a node carries no capacitance). Evaluate it with dense
-    complex solves; do not feed it to the symmetric skyline AC /
+    complex solves; do not feed it to the symmetric LDLᵀ AC /
     reduction fast paths, which assume [G = Gᵀ], [C = Cᵀ]. *)
 
 type second_order_stats = {

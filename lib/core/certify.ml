@@ -629,7 +629,7 @@ let run ?ctx ?(tol = 1e-9) ?(drift_points = 4) ?drift_band
                 "%s: only %d of the first %d moment(s) match at s0 = %.3g \
                  (rtol %.0e) — the Pade property is not holding numerically"
                 engine !j q r.shift mom_rtol))
-    | exception (Factor.Singular _ | Linalg.Lu.Singular _ | Sparse.Skyline.Singular _) ->
+    | exception (Factor.Singular _ | Linalg.Lu.Singular _) ->
       emit
         (D.info "MOD005"
            (Printf.sprintf
@@ -655,7 +655,7 @@ let run ?ctx ?(tol = 1e-9) ?(drift_points = 4) ?drift_band
            (Printf.sprintf
               "%s: DC mismatch %.2e relative vs the exact zeroth moment at s = 0"
               engine rel))
-  | exception (Factor.Singular _ | Linalg.Lu.Singular _ | Sparse.Skyline.Singular _) ->
+  | exception (Factor.Singular _ | Linalg.Lu.Singular _) ->
     emit
       (D.info "MOD006"
          (Printf.sprintf
@@ -696,7 +696,7 @@ let run ?ctx ?(tol = 1e-9) ?(drift_points = 4) ?drift_band
       Array.init k (fun i ->
           match exact_z ctx mna (w_of i) with
           | z -> Some z
-          | exception Sparse.Skyline.Singular _ -> None)
+          | exception Factor.Singular _ -> None)
     in
     (* same error metric as the golden fixtures: the denominator is
        floored at 1e-3 of the sweep-wide |Z| scale, so a deep null in

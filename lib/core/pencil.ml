@@ -1,23 +1,17 @@
-(* the shared symbolic phase, one per backend: both carry the merged
-   G/C pattern with the matrices pre-scattered so each numeric
-   factorisation is free of pattern analysis *)
-type backend_sym =
-  | Sky of Sparse.Skyline.pencil_env
-  | Super of Sparse.Supernodal.symbolic
-
 (* LDLᵀ without pivoting breaks down iff a leading principal minor is
    singular, which depends on the ordering alone: an AMD ordering can
    eliminate an exactly-cancelling MNA node pair before the current
    variable that couples it, where RCM's level sets happen to
-   interleave them. When the supernodal backend hits such a pivot the
-   pencil retries on an RCM-ordered skyline envelope — a different
-   elimination sequence, not just different storage. Built lazily on
-   first breakdown and memoized; the Atomic makes the memo safe under
-   pooled AC sweeps (both racers compute identical values). *)
-type sky_fallback = {
-  sf_perm : int array; (* RCM: new index -> old index *)
-  sf_remap : int array; (* backend-permuted index of sf_perm.(k) *)
-  sf_env : Sparse.Skyline.pencil_env;
+   interleave them. When the AMD-ordered factorisation hits such a
+   pivot the pencil retries on an RCM-ordered symbolic phase — a
+   different elimination sequence, same supernodal kernel. Built
+   lazily on first breakdown and memoized; the Atomic makes the memo
+   safe under pooled AC sweeps (both racers compute identical
+   values). *)
+type rcm_retry = {
+  rr_perm : int array; (* RCM + postorder: new index -> old index *)
+  rr_remap : int array; (* AMD-permuted index of rr_perm.(k) *)
+  rr_sym : Sparse.Supernodal.symbolic;
 }
 
 type t = {
@@ -28,8 +22,8 @@ type t = {
   p : int;
   perm : int array; (* new index -> old index *)
   inv : int array; (* old index -> new index *)
-  mutable backend : backend_sym; (* mutable only via [reserve] *)
-  fallback : sky_fallback option Atomic.t;
+  mutable sym : Sparse.Supernodal.symbolic; (* mutable only via [reserve] *)
+  retry : rcm_retry option Atomic.t;
   port_idx : int array array;
   port_val : float array array;
   cache : (float, (Factor.t, int) result) Hashtbl.t;
@@ -44,8 +38,6 @@ let n t = t.n
 let p t = t.p
 
 let perm t = t.perm
-
-let backend_kind t = match t.backend with Sky _ -> `Skyline | Super _ -> `Supernodal
 
 let port_idx t = t.port_idx
 
@@ -98,21 +90,14 @@ let band_shift_var variable (f_lo, f_hi) =
 
 let band_shift (m : Circuit.Mna.t) band = band_shift_var m.Circuit.Mna.variable band
 
-let of_matrices ?(ordering = true) ?(variable = Circuit.Mna.S) ?b g c =
+let of_matrices ?(variable = Circuit.Mna.S) ?b g c =
   if Obs.tracing () then
     Obs.span_begin ~args:[ ("n", Obs.Int g.Sparse.Csr.rows) ] "factor.symbolic";
   let n = g.Sparse.Csr.rows in
-  let pattern = Sparse.Csr.add g c in
-  let chosen =
-    if ordering then Factor.plan pattern else `Skyline (Sparse.Rcm.identity n)
-  in
-  let perm = match chosen with `Skyline p | `Supernodal p -> p in
-  let gp = Sparse.Csr.permute_sym g perm in
-  let cp = Sparse.Csr.permute_sym c perm in
-  let backend =
-    match chosen with
-    | `Skyline _ -> Sky (Sparse.Skyline.pencil_env gp cp)
-    | `Supernodal _ -> Super (Sparse.Supernodal.symbolic ~c:cp gp)
+  let perm = Sparse.Supernodal.order ~c g in
+  let sym =
+    Sparse.Supernodal.symbolic ~c:(Sparse.Csr.permute_sym c perm)
+      (Sparse.Csr.permute_sym g perm)
   in
   let inv = Array.make n 0 in
   Array.iteri (fun new_i old_i -> inv.(old_i) <- new_i) perm;
@@ -142,16 +127,16 @@ let of_matrices ?(ordering = true) ?(variable = Circuit.Mna.S) ?b g c =
     p;
     perm;
     inv;
-    backend;
-    fallback = Atomic.make None;
+    sym;
+    retry = Atomic.make None;
     port_idx;
     port_val;
     cache = Hashtbl.create 4;
   }
 
-let create ?ordering (m : Circuit.Mna.t) =
+let create (m : Circuit.Mna.t) =
   check_structure m;
-  of_matrices ?ordering ~variable:m.Circuit.Mna.variable ~b:m.Circuit.Mna.b
+  of_matrices ~variable:m.Circuit.Mna.variable ~b:m.Circuit.Mna.b
     m.Circuit.Mna.g m.Circuit.Mna.c
 
 (* ------------------------------------------------------------------ *)
@@ -163,62 +148,50 @@ let dense_shifted t s0 =
   in
   Factor.of_dense (Sparse.Csr.to_dense shifted)
 
-let sparse_numeric ?extra t s0 =
-  match t.backend with
-  | Sky env ->
-    let sky = Sparse.Skyline.factor_pencil_real ?extra env s0 in
-    if Obs.tracing () then begin
-      Obs.count "factor.count" 1;
-      Obs.count "factor.nnz" (Sparse.Skyline.Real.fill sky)
-    end;
-    Factor.of_skyline t.n t.perm sky
-  | Super sym ->
-    let fac = Sparse.Supernodal.Real.factor ?extra sym s0 in
-    if Obs.tracing () then begin
-      Obs.count "factor.count" 1;
-      Obs.count "factor.nnz" (Sparse.Supernodal.Real.fill fac)
-    end;
-    Factor.of_supernodal t.n t.perm fac
+let real_numeric ?extra t sym perm s0 =
+  let fac = Sparse.Supernodal.Real.factor ?extra sym s0 in
+  if Obs.tracing () then begin
+    Obs.count "factor.count" 1;
+    Obs.count "factor.nnz" (Sparse.Supernodal.Real.fill fac)
+  end;
+  Factor.of_supernodal t.n perm fac
 
-let sky_fallback t =
-  match Atomic.get t.fallback with
-  | Some fb -> fb
+let rcm_retry t i =
+  Log.info (fun f ->
+      f "supernodal pivot breakdown at %d; retrying in RCM elimination order" i);
+  if Obs.tracing () then begin
+    Obs.instant ~args:[ ("pivot", Obs.Int i) ] "factor.fallback_rcm";
+    Obs.count "factor.fallback_rcm" 1
+  end;
+  match Atomic.get t.retry with
+  | Some rr -> rr
   | None ->
-    let rcm = Sparse.Rcm.order (Sparse.Csr.add t.g t.c) in
-    let gp = Sparse.Csr.permute_sym t.g rcm in
-    let cp = Sparse.Csr.permute_sym t.c rcm in
-    let fb =
+    let pattern = Sparse.Csr.add t.g t.c in
+    let rcm = Sparse.Supernodal.postordered pattern (Sparse.Rcm.order pattern) in
+    let rr =
       {
-        sf_perm = rcm;
-        sf_remap = Array.map (fun old -> t.inv.(old)) rcm;
-        sf_env = Sparse.Skyline.pencil_env gp cp;
+        rr_perm = rcm;
+        rr_remap = Array.map (fun old -> t.inv.(old)) rcm;
+        rr_sym =
+          Sparse.Supernodal.symbolic ~c:(Sparse.Csr.permute_sym t.c rcm)
+            (Sparse.Csr.permute_sym t.g rcm);
       }
     in
-    Atomic.set t.fallback (Some fb);
-    fb
-
-let retry_skyline t i =
-  Log.info (fun f ->
-      f "supernodal pivot breakdown at %d; retrying on the RCM skyline envelope" i);
-  if Obs.tracing () then begin
-    Obs.instant ~args:[ ("pivot", Obs.Int i) ] "factor.fallback_skyline";
-    Obs.count "factor.fallback_skyline" 1
-  end;
-  sky_fallback t
+    Atomic.set t.retry (Some rr);
+    rr
 
 let factor_uncached t s0 =
   if Obs.tracing () then Obs.span_begin "factor.numeric";
   let sparse_fac =
-    match sparse_numeric t s0 with
+    match real_numeric t t.sym t.perm s0 with
     | fac -> Ok fac
     | exception Sparse.Supernodal.Singular i -> (
       (* a different elimination order may well succeed; only then
          surrender to the dense factorisation *)
-      let fb = retry_skyline t i in
-      match Sparse.Skyline.factor_pencil_real fb.sf_env s0 with
-      | sky -> Ok (Factor.of_skyline t.n fb.sf_perm sky)
-      | exception Sparse.Skyline.Singular j -> Error j)
-    | exception Sparse.Skyline.Singular i -> Error i
+      let rr = rcm_retry t i in
+      match real_numeric t rr.rr_sym rr.rr_perm s0 with
+      | fac -> Ok fac
+      | exception Sparse.Supernodal.Singular j -> Error j)
   in
   match sparse_fac with
   | Ok fac ->
@@ -273,71 +246,64 @@ let with_auto_shift ?shift ?band t f =
 (* Newton-Jacobian hook (transient)                                    *)
 
 let reserve t positions =
-  match t.backend with
-  | Sky env ->
-    let extra_first = Array.init t.n (fun i -> i) in
-    Array.iter
-      (fun (i, j) ->
-        let pi = t.inv.(i) and pj = t.inv.(j) in
-        let hi = max pi pj and lo = min pi pj in
-        if lo < extra_first.(hi) then extra_first.(hi) <- lo)
-      positions;
-    t.backend <- Sky (Sparse.Skyline.widen_env env extra_first)
-  | Super _ ->
-    (* rebuild the symbolic phase with the stamp positions merged into
-       the pattern as structural zeros — the ordering is kept, so
-       factorisations without stamps stay numerically identical *)
-    let extra_pattern =
-      Array.map (fun (i, j) -> (t.inv.(i), t.inv.(j))) positions
-    in
-    let gp = Sparse.Csr.permute_sym t.g t.perm in
-    let cp = Sparse.Csr.permute_sym t.c t.perm in
-    t.backend <- Super (Sparse.Supernodal.symbolic ~extra_pattern ~c:cp gp)
+  (* rebuild the symbolic phase with the stamp positions merged into
+     the pattern as structural zeros — the ordering is kept, so
+     factorisations without stamps stay numerically identical *)
+  let extra_pattern = Array.map (fun (i, j) -> (t.inv.(i), t.inv.(j))) positions in
+  let gp = Sparse.Csr.permute_sym t.g t.perm in
+  let cp = Sparse.Csr.permute_sym t.c t.perm in
+  t.sym <- Sparse.Supernodal.symbolic ~extra_pattern ~c:cp gp
 
 let factor_with t ~shift ~extra =
   let extra = Array.map (fun (i, j, v) -> (t.inv.(i), t.inv.(j), v)) extra in
-  match sparse_numeric ~extra t shift with
+  match real_numeric ~extra t t.sym t.perm shift with
   | fac -> fac
-  | exception (Sparse.Skyline.Singular i | Sparse.Supernodal.Singular i) ->
-    raise (Factor.Singular i)
+  | exception Sparse.Supernodal.Singular i -> raise (Factor.Singular i)
 
 (* ------------------------------------------------------------------ *)
 (* complex pencil solves (AC path)                                     *)
 
 type cfactor =
-  | Csky of Sparse.Skyline.Complex_soa.t
-  | Csuper of Sparse.Supernodal.Complex_soa.t
-  | Cfall of sky_fallback * Sparse.Skyline.Complex_soa.t
-      (* RCM-skyline retry after a supernodal breakdown; carries the
-         remap from backend-permuted to fallback-permuted coordinates
-         so callers keep addressing the backend permutation *)
+  | Camd of Sparse.Supernodal.Complex_soa.t
+  | Crcm of rcm_retry * Sparse.Supernodal.Complex_soa.t
+      (* RCM-ordered retry after an AMD-ordered breakdown; carries the
+         remap from AMD-permuted to RCM-permuted coordinates so callers
+         keep addressing the context's permutation *)
 
 let factor_complex ?pivot_tol t s =
-  match t.backend with
-  | Sky env -> Csky (Sparse.Skyline.Complex_soa.factor_pencil ?pivot_tol env s)
-  | Super sym -> (
-    match Sparse.Supernodal.Complex_soa.factor ?pivot_tol sym s with
-    | fac -> Csuper fac
-    | exception Sparse.Supernodal.Singular i ->
-      let fb = retry_skyline t i in
-      Cfall (fb, Sparse.Skyline.Complex_soa.factor_pencil ?pivot_tol fb.sf_env s))
+  if Obs.tracing () then Obs.span_begin "factor.numeric";
+  let finish r =
+    if Obs.tracing () then Obs.span_end ();
+    r
+  in
+  match Sparse.Supernodal.Complex_soa.factor ?pivot_tol t.sym s with
+  | fac -> finish (Camd fac)
+  | exception Sparse.Supernodal.Singular i -> (
+    let rr = rcm_retry t i in
+    match Sparse.Supernodal.Complex_soa.factor ?pivot_tol rr.rr_sym s with
+    | fac -> finish (Crcm (rr, fac))
+    | exception Sparse.Supernodal.Singular j ->
+      if Obs.tracing () then begin
+        Obs.instant ~args:[ ("pivot", Obs.Int j) ] "factor.breakdown";
+        Obs.span_end ()
+      end;
+      raise (Factor.Singular j))
 
 let csolve_split fac b_re b_im =
   match fac with
-  | Csky f -> Sparse.Skyline.Complex_soa.solve_split f b_re b_im
-  | Csuper f -> Sparse.Supernodal.Complex_soa.solve_split f b_re b_im
-  | Cfall (fb, f) ->
-    (* gather into fallback coordinates, solve, scatter back *)
-    let n = Array.length fb.sf_remap in
+  | Camd f -> Sparse.Supernodal.Complex_soa.solve_split f b_re b_im
+  | Crcm (rr, f) ->
+    (* gather into RCM coordinates, solve, scatter back *)
+    let n = Array.length rr.rr_remap in
     let br = Array.make n 0.0 and bi = Array.make n 0.0 in
     for k = 0 to n - 1 do
-      let s = fb.sf_remap.(k) in
+      let s = rr.rr_remap.(k) in
       br.(k) <- b_re.(s);
       bi.(k) <- b_im.(s)
     done;
-    Sparse.Skyline.Complex_soa.solve_split f br bi;
+    Sparse.Supernodal.Complex_soa.solve_split f br bi;
     for k = 0 to n - 1 do
-      let s = fb.sf_remap.(k) in
+      let s = rr.rr_remap.(k) in
       b_re.(s) <- br.(k);
       b_im.(s) <- bi.(k)
     done

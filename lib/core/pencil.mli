@@ -8,35 +8,38 @@
 
     - the structural pre-flight (STR001: a pattern with structural
       rank < n is singular for every element value and shift);
-    - the {!Factor.plan} backend decision over the merged [G]/[C]
-      pattern: RCM ordering + skyline envelope, or AMD ordering +
-      supernodal panels ({!Sparse.Supernodal}) for large scattered
-      patterns — forced either way by [SYMOR_FACTOR] / [--factor];
-    - the backend's shared symbolic phase (both matrices pre-scattered
-      into envelope rows or panel slots), so each factorisation —
-      real at any shift, or complex at any frequency — is a pure
-      numeric phase;
+    - the AMD + etree-postorder ordering of the merged [G]/[C]
+      pattern ({!Sparse.Supernodal.order});
+    - the shared supernodal symbolic phase (both matrices
+      pre-scattered into panel slots), so each factorisation — real
+      at any shift, or complex at any frequency — is a pure numeric
+      phase ([factor.numeric] span);
+    - the RCM-ordered retry: LDLᵀ without pivoting can break down on
+      an AMD elimination order where RCM's succeeds, so a pivot
+      breakdown re-runs the same supernodal kernel in RCM + postorder
+      order ([factor.fallback_rcm] counter) before a real
+      factorisation surrenders to dense Bunch–Kaufman;
     - a memo table of real factorisations keyed by shift, so a moment
       check after a reduction at the same expansion point costs only
       triangular solves ([pencil.cache_hit]/[pencil.cache_miss]
       counters; [factor.symbolic]/[factor.numeric] spans).
 
     {!with_auto_shift} is the {e only} implementation of the paper's
-    eq. (26) singular→shift retry; [Factor.Singular] is not caught
-    anywhere else in the library. *)
+    eq. (26) singular→shift retry; [Factor.Singular] is the one
+    exception a singular pencil raises, and elsewhere it is only
+    reported (certification skips the affected check), never
+    retried. *)
 
 type t
 
-val create : ?ordering:bool -> Circuit.Mna.t -> t
+val create : Circuit.Mna.t -> t
 (** Build the context from an assembled pencil: structural pre-flight
     (raises {!Circuit.Diagnostic.User_error} with an [STR001] message
-    on structural singularity), backend plan + ordering of the merged
-    pattern (identity-ordered skyline when [ordering:false]), the
-    chosen symbolic phase, and the per-port sparse patterns of the
-    permuted [B]. *)
+    on structural singularity), ordering of the merged pattern, the
+    symbolic phase, and the per-port sparse patterns of the permuted
+    [B]. *)
 
 val of_matrices :
-  ?ordering:bool ->
   ?variable:Circuit.Mna.variable ->
   ?b:Linalg.Mat.t ->
   Sparse.Csr.t ->
@@ -56,9 +59,6 @@ val p : t -> int
 
 val perm : t -> int array
 (** Fill-reducing permutation: new index → old index. *)
-
-val backend_kind : t -> [ `Skyline | `Supernodal ]
-(** Which sparse backend's symbolic phase this context carries. *)
 
 val port_idx : t -> int array array
 (** Per port, the permuted rows carrying a nonzero of [B] (ascending).
@@ -100,12 +100,13 @@ val with_auto_shift :
 (** {1 Real factorisations} *)
 
 val factor : t -> shift:float -> Factor.t
-(** Factor [G + s₀C = M J Mᵀ] (the context's sparse backend against
-    the shared symbolic phase; dense Bunch–Kaufman fallback on pivot
-    breakdown, recorded as the [factor.fallback_dense] counter).
-    Results — including singular outcomes — are memoized by shift:
-    a repeat call is a cache hit returning the identical factor.
-    Raises {!Factor.Singular} when both backends fail. *)
+(** Factor [G + s₀C = M J Mᵀ] (supernodal LDLᵀ against the shared
+    symbolic phase, then the RCM-ordered retry; dense Bunch–Kaufman
+    fallback when both break down, recorded as the
+    [factor.fallback_dense] counter). Results — including singular
+    outcomes — are memoized by shift: a repeat call is a cache hit
+    returning the identical factor. Raises {!Factor.Singular} when
+    the dense factorisation fails too. *)
 
 val factor_with :
   t -> shift:float -> extra:(int * int * float) array -> Factor.t
@@ -114,29 +115,31 @@ val factor_with :
     before factoring — the transient engine's Newton-Jacobian stamps.
     Never cached. Positions must have been declared with {!reserve}
     unless they fall inside the symbolic pattern already. Sparse
-    backends only: raises {!Factor.Singular} on breakdown. *)
+    path only (no retry, no dense fallback): raises {!Factor.Singular}
+    on breakdown. *)
 
 val reserve : t -> (int * int) array -> unit
 (** Grow the shared symbolic phase so the given (original-coordinate)
-    positions can be stamped by {!factor_with} — envelope widening
-    under skyline, a pattern-augmented symbolic rebuild (same
-    ordering) under supernodal. The added slots are structural zeros,
-    so subsequent stamp-free factorisations are numerically
-    unchanged. *)
+    positions can be stamped by {!factor_with} — a pattern-augmented
+    symbolic rebuild under the same ordering. The added slots are
+    structural zeros, so subsequent stamp-free factorisations are
+    numerically unchanged. *)
 
 (** {1 Complex pencil solves} *)
 
 type cfactor
 (** A factored complex pencil [(G + sC)] in permuted coordinates —
-    skyline or supernodal split-complex, matching the context's
-    backend. *)
+    supernodal split-complex, AMD- or (after a breakdown) RCM-ordered
+    inside. *)
 
 val factor_complex : ?pivot_tol:float -> t -> Complex.t -> cfactor
 (** Numeric phase of [G + sC] at a complex point against the shared
-    symbolic phase — the split-complex AC production kernel. The
-    returned factor lives in {e permuted} coordinates; combine with
-    {!perm} / {!port_idx} and {!csolve_split} (as [Simulate.Ac]
-    does) or use {!solve_complex}. *)
+    symbolic phase — the split-complex AC production kernel, with the
+    same RCM-ordered retry as {!factor}. The returned factor lives in
+    {e permuted} coordinates; combine with {!perm} / {!port_idx} and
+    {!csolve_split} (as [Simulate.Ac] does) or use {!solve_complex}.
+    Raises {!Factor.Singular} when both orderings break down — there
+    is no dense complex fallback. *)
 
 val csolve_split : cfactor -> float array -> float array -> unit
 (** [csolve_split fac re im] solves [(G + sC) x = b] in place on the

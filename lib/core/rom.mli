@@ -21,7 +21,6 @@ type options = {
   dtol : float;  (** Deflation tolerance (Lanczos engines). *)
   ctol : float;  (** Definiteness check tolerance (SyMPVL). *)
   full_ortho : bool;  (** Full re-orthogonalisation (SyMPVL). *)
-  ordering : bool;  (** RCM fill-reducing ordering in the shared context. *)
   port : int;  (** Port column driven by scalar engines (AWE). *)
 }
 

@@ -15,8 +15,8 @@
        schedule-dependent bugs surface under adversarial interleavings
        while results must stay bitwise identical.}
     {- [fp] — the floating-point sanitizer: factorisation and solve
-       kernels ([Sparse.Skyline], [Sympvl.Factor]'s skyline backend,
-       the split-complex AC kernel) scan their outputs for NaN/Inf and
+       kernels ([Sparse.Supernodal]'s real and split-complex kernels,
+       [Sympvl.Factor]'s dense fallback) scan their outputs for NaN/Inf and
        monitor element growth. Violations are {e recorded} as
        {!findings} (and as [Obs] instants when tracing), never raised
        — a golden run under [SYMOR_SAN=fp] fails only if the harness

@@ -5,10 +5,10 @@
     [(G + var·C)] at each frequency point — the "exact analysis"
     reference curves of the paper's Figures 2–4.
 
-    The sweep is split into a one-time symbolic phase (RCM ordering,
-    merged envelope, G/C pre-scatter, per-port sparse B patterns) and
-    a per-frequency numeric phase running the split-complex (SoA)
-    skyline kernel; frequency points are distributed over the shared
+    The sweep is split into a one-time symbolic phase (AMD ordering,
+    supernodal pattern, G/C pre-scatter, per-port sparse B patterns)
+    and a per-frequency numeric phase running the split-complex (SoA)
+    supernodal kernel; frequency points are distributed over the shared
     {!Parallel} pool. Every point is independent, so the sweep output
     is bitwise identical to a sequential run at any job count. *)
 

@@ -20,7 +20,7 @@ type result = {
   steps : int;
   newton_iterations : int;
   factorizations : int;
-  backend : [ `Skyline | `Dense ];
+  backend : [ `Sparse | `Dense ];
 }
 
 exception Convergence_failure of float
@@ -222,17 +222,17 @@ let add_nonlinear_currents sys x q =
 (* linear-solver backends over A = G + γC (+ nonlinear Jacobian) *)
 type backend_state =
   | Dense_backend of Linalg.Mat.t (* dense A without nonlinear part *)
-  | Skyline_backend of Sympvl.Pencil.t
-    (* shared pencil context over (G, C): RCM ordering and envelope
+  | Sparse_backend of Sympvl.Pencil.t
+    (* shared pencil context over (G, C): ordering and supernodal
        symbolic phase run once; every Newton refactorisation is a pure
        numeric phase at shift γ with the Jacobian stamps as extras *)
 
 let choose_backend sys reduced =
   (* voltage-source and reduced-stamp rows are saddle points (zero
-     diagonal): the unpivoted skyline factorisation cannot be relied
+     diagonal): the unpivoted sparse LDLᵀ cannot be relied
      on there, so those systems go through dense LU *)
   if (not sys.symmetric) || reduced <> [] || sys.vsources <> [] || sys.n <= 60 then `Dense
-  else `Skyline
+  else `Sparse
 
 let run ?opts ?(reduced = []) ~observe nl =
   let opts =
@@ -251,10 +251,10 @@ let run ?opts ?(reduced = []) ~observe nl =
   let backend =
     match backend_kind with
     | `Dense -> Dense_backend (Sparse.Csr.to_dense a_lin)
-    | `Skyline ->
+    | `Sparse ->
       let ctx = Sympvl.Pencil.of_matrices sys.g sys.c in
-      (* widen the shared envelope once so the per-iteration Jacobian
-         stamps (which need not lie in the linear pattern) fit *)
+      (* grow the shared symbolic pattern once so the per-iteration
+         Jacobian stamps (which need not lie in the linear pattern) fit *)
       let positions =
         List.concat_map
           (fun e ->
@@ -265,7 +265,7 @@ let run ?opts ?(reduced = []) ~observe nl =
           sys.nonlinear
       in
       if positions <> [] then Sympvl.Pencil.reserve ctx (Array.of_list positions);
-      Skyline_backend ctx
+      Sparse_backend ctx
   in
   (* factor A plus the nonlinear Jacobian stamps at linearisation
      point x (entries g_eq between the element nodes) *)
@@ -293,7 +293,7 @@ let run ?opts ?(reduced = []) ~observe nl =
         jac_entries;
       let lu = Linalg.Lu.factor a in
       fun b -> Linalg.Lu.solve_vec lu b
-    | Skyline_backend ctx ->
+    | Sparse_backend ctx ->
       let extra =
         List.concat_map
           (fun (e, g) ->

@@ -8,7 +8,7 @@
     paper: this is the "stamped directly into the Jacobian" usage).
 
     Linear symmetric circuits use the shared pencil context
-    ({!Sympvl.Pencil}) as the sparse skyline backend with one
+    ({!Sympvl.Pencil}) as the sparse supernodal backend with one
     factorisation for the whole run; circuits with reduced stamps or
     controlled sources use dense LU. *)
 
@@ -36,7 +36,7 @@ type result = {
   steps : int;
   newton_iterations : int;  (** Total across the run. *)
   factorizations : int;
-  backend : [ `Skyline | `Dense ];
+  backend : [ `Sparse | `Dense ];
 }
 
 exception Convergence_failure of float

@@ -56,7 +56,7 @@ let st_eliminated = 1
 
 let st_absorbed = 2
 
-let order_approx a =
+let approx a =
   let n = a.Csr.rows in
   if n = 0 then [||]
   else begin
@@ -353,16 +353,19 @@ let order_approx a =
     order
   end
 
-(* the exact greedy wins on quality for small systems and is the
-   behaviour existing fixtures pin; the quotient-graph AMD takes over
-   where O(n²) selection would dominate the factorisation itself *)
+(* the exact greedy wins on quality for small systems and is the fill
+   reference the analyzer reports and [order_approx] is tested
+   against; the quotient-graph AMD takes over where O(n²) selection
+   would dominate the factorisation itself *)
 let exact_cutoff = 1024
+
+let never_worse a cand =
+  if Etree.predicted_nnz a cand <= Etree.factor_nnz (Etree.of_pattern a) then cand
+  else identity a.Csr.rows
 
 let order a =
   let n = a.Csr.rows in
   if n = 0 then [||]
-  else begin
-    let cand = if n <= exact_cutoff then min_degree a else order_approx a in
-    if Etree.predicted_nnz a cand <= Etree.factor_nnz (Etree.of_pattern a) then cand
-    else identity n
-  end
+  else never_worse a (if n <= exact_cutoff then min_degree a else approx a)
+
+let order_approx a = if a.Csr.rows = 0 then [||] else never_worse a (approx a)

@@ -50,5 +50,5 @@ val bandwidth : t -> int
 (** Maximum [|i − j|] over stored entries. *)
 
 val profile : t -> int
-(** Sum over rows of [i − min column index ≤ i] (the envelope size a
-    skyline factorisation will fill). *)
+(** Sum over rows of [i − min column index ≤ i] (the envelope size:
+    the fill of a factorisation confined to the envelope). *)

@@ -1,8 +1,9 @@
 (** Reverse Cuthill–McKee fill-reducing ordering.
 
     Produces a permutation that clusters a sparse symmetric matrix
-    around its diagonal, shrinking the envelope that the skyline
-    factorisation fills in. *)
+    around its diagonal, shrinking its envelope. [Pencil] uses it,
+    postordered, as the second elimination sequence it retries when
+    the AMD-ordered LDLᵀ meets a zero pivot. *)
 
 val order : Csr.t -> int array
 (** [order a] returns [perm] such that [Csr.permute_sym a perm] has a

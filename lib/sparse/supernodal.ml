@@ -4,8 +4,8 @@
    an optional relaxed-amalgamation budget) are grouped into dense
    row-major panels; the numeric phase then runs on contiguous float
    arrays with dot-product inner kernels instead of per-entry index
-   chasing. The skyline envelope kernel remains the accuracy oracle —
-   this module is the scattered-sparsity (AMD-ordered) backend.
+   chasing. This is the one sparse factor kernel; dense LDLᵀ
+   ([Linalg.Ldlt], [Linalg.Cmat]) is the accuracy oracle.
 
    Input matrices are expected already permuted by a fill-reducing
    ordering composed with an elimination-tree postorder ({!order}
@@ -51,11 +51,13 @@ let structural_union (g : Csr.t) c extra =
 let merged_pattern ?extra g c =
   match (c, extra) with None, None -> g | _ -> structural_union g c extra
 
-let order ?c g =
-  let pat = merged_pattern g c in
-  let p1 = Amd.order pat in
+let postordered pat p1 =
   let post = Etree.postorder (Etree.of_pattern (Csr.permute_sym pat p1)) in
   Array.map (fun k -> p1.(k)) post
+
+let order ?c g =
+  let pat = merged_pattern g c in
+  postordered pat (Amd.order_approx pat)
 
 let symbolic ?(relax = 0) ?extra_pattern ?c g =
   let n = g.Csr.rows in
@@ -258,6 +260,20 @@ let stamp_extra sym (pan : float array array) entries =
       p.(slot) <- p.(slot) +. v)
     entries
 
+(* every strictly-lower slot of the factor panels — the entries of L.
+   The diagonal block's own diagonal keeps the assembled pivot value
+   (D lives in its own array) and its upper triangle is unused, so the
+   fp sanitizer's |L| growth scan must skip both. *)
+let iter_lower sym f =
+  for s = 0 to sym.sy_nsuper - 1 do
+    let w = sym.sy_start.(s + 1) - sym.sy_start.(s) in
+    for kk = 0 to Array.length sym.sy_rows.(s) - 1 do
+      for cl = 0 to min kk w - 1 do
+        f s ((kk * w) + cl)
+      done
+    done
+  done
+
 module Real = struct
   type t = { sym : symbolic; pan : float array array; d : float array }
 
@@ -390,17 +406,12 @@ module Real = struct
        monitor element growth — reads only, results bitwise identical *)
     if San.fp () then begin
       let lmax = ref 0.0 and dmax_out = ref 0.0 and finite = ref true in
-      Array.iter
-        (fun pnl ->
-          Array.iter
-            (fun x ->
-              let a = Float.abs x in
-              if Float.is_finite a then begin
-                if a > !lmax then lmax := a
-              end
-              else finite := false)
-            pnl)
-        pan;
+      iter_lower sym (fun s slot ->
+          let a = Float.abs pan.(s).(slot) in
+          if Float.is_finite a then begin
+            if a > !lmax then lmax := a
+          end
+          else finite := false);
       Array.iter
         (fun x ->
           let a = Float.abs x in
@@ -474,7 +485,7 @@ end
 
 (* Split-complex (structure-of-arrays) kernels for the AC path: the
    same supernodal recurrences on [G + sC] with re/im in separate
-   unboxed float arrays. [Skyline.Complex_sym] is the oracle. *)
+   unboxed float arrays. [Linalg.Cmat.solve] is the oracle. *)
 module Complex_soa = struct
   type t = {
     sym : symbolic;
@@ -634,16 +645,12 @@ module Complex_soa = struct
     done;
     if San.fp () then begin
       let lmax = ref 0.0 and dmax_out = ref 0.0 and finite = ref true in
-      let scan_pair rs is =
-        for k = 0 to Array.length rs - 1 do
-          let a = Float.hypot rs.(k) is.(k) in
+      iter_lower sym (fun sn slot ->
+          let a = Float.hypot pre.(sn).(slot) pim.(sn).(slot) in
           if Float.is_finite a then begin
             if a > !lmax then lmax := a
           end
-          else finite := false
-        done
-      in
-      Array.iteri (fun i rp -> scan_pair rp pim.(i)) pre;
+          else finite := false);
       for i = 0 to n - 1 do
         let a = Float.hypot dre.(i) dim_.(i) in
         if Float.is_finite a then begin

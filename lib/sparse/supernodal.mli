@@ -1,15 +1,13 @@
 (** Left-looking supernodal sparse LDLᵀ with dense BLAS-style panel
-    kernels — the scattered-sparsity backend.
+    kernels — the one sparse factor kernel.
 
-    Where {!Skyline} stores each row's contiguous envelope segment
-    (the right shape after an {!Rcm} ordering), this module groups
-    columns with nested factor structure — {e fundamental supernodes}
-    — into dense row-major [len×w] panels and runs the factorisation
-    as dot-product kernels on contiguous float arrays. Combined with
-    an {!Amd} fill-reducing ordering (whose scattered sparsity an
-    envelope cannot represent), it is the backend that scales to the
-    10⁵-unknown circuits the paper's reduction targets; the skyline
-    kernel remains the accuracy oracle it is tested against.
+    Columns with nested factor structure — {e fundamental supernodes}
+    — are grouped into dense row-major [len×w] panels and the
+    factorisation runs as dot-product kernels on contiguous float
+    arrays. Combined with an {!Amd} fill-reducing ordering it scales
+    to the 10⁵-unknown circuits the paper's reduction targets; dense
+    LDLᵀ ([Linalg.Ldlt], [Linalg.Cmat]) is the oracle it is tested
+    against.
 
     The symbolic phase is exact: with [relax = 0] the stored factor
     nonzero count equals {!Etree.predicted_nnz} of the input pattern
@@ -23,8 +21,9 @@
     fundamental supernode a contiguous column range. *)
 
 exception Singular of int
-(** Pivot breakdown at the given (permuted) column, same relative
-    test as {!Skyline.Singular}. *)
+(** Pivot breakdown at the given (permuted) column: no pivoting is
+    performed, so a pivot below the relative tolerance (see
+    {!Real.factor}) stops the factorisation. *)
 
 type symbolic
 (** The symbolic phase of a pencil factorisation: supernode
@@ -34,12 +33,20 @@ type symbolic
     and threads. *)
 
 val order : ?c:Csr.t -> Csr.t -> int array
-(** [order ?c g] — the ordering this backend wants: {!Amd.order} of
-    the merged [G]/[C] pattern composed with the elimination-tree
+(** [order ?c g] — the ordering this kernel wants: {!Amd.order_approx}
+    of the merged [G]/[C] pattern composed with the elimination-tree
     postorder of the AMD-permuted pattern. Returns [perm] in the
     {!Csr.permute_sym} convention ([perm.(new_index) = old_index]);
     the postorder composition leaves the factor nonzero count of the
     AMD ordering unchanged. *)
+
+val postordered : Csr.t -> int array -> int array
+(** [postordered pattern perm] composes a fill-reducing ordering with
+    the elimination-tree postorder of the permuted pattern — the form
+    {!symbolic} requires. The postorder keeps every column's etree
+    subtree, so a no-pivoting factorisation meets the same pivots as
+    under [perm] itself: [order] is [postordered] of {!Amd.order_approx}, and
+    [postordered] of {!Rcm.order} is the RCM elimination sequence. *)
 
 val symbolic : ?relax:int -> ?extra_pattern:(int * int) array -> ?c:Csr.t -> Csr.t -> symbolic
 (** [symbolic ?relax ?extra_pattern ?c g] — supernode detection and
@@ -90,14 +97,13 @@ module Real : sig
   (** The diagonal of [D] (a copy). *)
 
   val fill : t -> int
-  (** Stored factor nonzeros — the cost measure, comparable with
-      {!Skyline.SOLVER.fill}. *)
+  (** Stored factor nonzeros — the cost measure. *)
 end
 
 (** Split-complex (structure-of-arrays) kernels for the AC path: the
     same supernodal recurrences on the complex-symmetric [G + sC]
     with re/im in separate unboxed float arrays.
-    {!Skyline.Complex_sym} is the oracle they are tested against. *)
+    [Linalg.Cmat.solve] is the oracle they are tested against. *)
 module Complex_soa : sig
   type t
 

@@ -106,22 +106,43 @@ let test_failure_order_exceeds_dimension () =
   checkf "exact at exhaustion" ~tol:1e-8 0.0
     (Linalg.Cmat.dist_max ze (Model.eval model s) /. Linalg.Cmat.max_abs ze)
 
-let test_failure_skyline_fallback () =
-  (* a matrix whose natural ordering makes the unpivoted skyline break
-     down (zero leading pivot) but which is perfectly factorable by
-     the dense Bunch–Kaufman fallback *)
-  let m = Linalg.Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let csr = Sparse.Csr.of_dense m in
-  Alcotest.(check bool) "skyline path raises" true
-    (try
-       ignore (Sympvl.Factor.of_csr ~ordering:false csr);
-       false
-     with Sympvl.Factor.Singular _ -> true);
-  let f = Sympvl.Factor.auto ~ordering:false csr in
+let test_failure_dense_fallback () =
+  (* a saddle matrix with zero diagonal: every elimination order breaks
+     the unpivoted sparse LDLᵀ down (AMD first, then the RCM-ordered
+     retry), but the dense Bunch–Kaufman fallback factors it *)
+  let g = Sparse.Csr.of_dense (Linalg.Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |]) in
+  let c = Sparse.Csr.of_dense (Linalg.Mat.create 2 2) in
+  let f = Sympvl.Pencil.factor (Sympvl.Pencil.of_matrices g c) ~shift:0.0 in
   Alcotest.(check bool) "fallback is dense" true (f.Sympvl.Factor.kind = `Dense);
   let x = f.Sympvl.Factor.solve [| 1.0; 2.0 |] in
   checkf "solve via fallback x0" ~tol:1e-12 2.0 x.(0);
   checkf "solve via fallback x1" ~tol:1e-12 1.0 x.(1)
+
+let test_failure_rcm_retry () =
+  (* a nonsingular matrix whose AMD elimination order meets an exactly
+     cancelling pivot while the RCM order does not: the pencil must
+     factor it on the sparse kernel through the RCM-ordered retry,
+     real and complex *)
+  let m = Linalg.Mat.of_arrays [| [| 1.0; 1.0; 1.0 |]; [| 1.0; 2.0; 1.0 |]; [| 1.0; 1.0; 0.0 |] |] in
+  let g = Sparse.Csr.of_dense m in
+  let perm = Sparse.Supernodal.order g in
+  Alcotest.(check bool) "AMD order breaks down" true
+    (match
+       Sparse.Supernodal.Real.factor
+         (Sparse.Supernodal.symbolic (Sparse.Csr.permute_sym g perm))
+         0.0
+     with
+    | _ -> false
+    | exception Sparse.Supernodal.Singular _ -> true);
+  let ctx = Sympvl.Pencil.of_matrices g (Sparse.Csr.of_dense (Linalg.Mat.create 3 3)) in
+  let f = Sympvl.Pencil.factor ctx ~shift:0.0 in
+  Alcotest.(check bool) "retry stays sparse" true (f.Sympvl.Factor.kind = `Supernodal);
+  let b = [| 1.0; -2.0; 3.0 |] in
+  let x = f.Sympvl.Factor.solve b in
+  checkf "real residual" ~tol:1e-12 0.0 (Linalg.Vec.dist_inf (Linalg.Mat.mul_vec m x) b);
+  let xr, xi = Sympvl.Pencil.solve_complex ctx Complex.zero b (Array.make 3 0.0) in
+  checkf "complex = real" ~tol:1e-12 0.0 (Linalg.Vec.dist_inf xr x);
+  checkf "complex imaginary part" ~tol:1e-12 0.0 (Linalg.Vec.norm_inf xi)
 
 let test_failure_newton_divergence () =
   (* a pathological nonlinearity with a lying derivative starves
@@ -243,7 +264,8 @@ let () =
       ( "failure_injection",
         [
           Alcotest.test_case "order exceeds dimension" `Quick test_failure_order_exceeds_dimension;
-          Alcotest.test_case "skyline fallback" `Quick test_failure_skyline_fallback;
+          Alcotest.test_case "dense fallback" `Quick test_failure_dense_fallback;
+          Alcotest.test_case "rcm retry" `Quick test_failure_rcm_retry;
           Alcotest.test_case "newton divergence" `Quick test_failure_newton_divergence;
           Alcotest.test_case "dependent ports" `Quick test_failure_all_ports_dependent;
           Alcotest.test_case "empty netlist" `Quick test_failure_empty_netlist_rejected;

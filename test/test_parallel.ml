@@ -1,7 +1,5 @@
 (* Tests for the parallel AC engine: the domain pool, bitwise
-   determinism of the pooled sweep, the split-complex (SoA) skyline
-   kernel against the boxed functor oracle, and symbolic-reuse
-   regressions. *)
+   determinism of the pooled sweep, and symbolic-reuse regressions. *)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel.Pool                                                      *)
@@ -130,104 +128,6 @@ let test_workspace_reuse_matches_fresh () =
     [ 1e7; 1e9; 7.3e9 ]
 
 (* ------------------------------------------------------------------ *)
-(* qcheck: SoA kernel vs the Complex_sym functor oracle                *)
-
-(* random diagonally dominant envelope pencil (G, C) plus a frequency
-   point s with Re s >= 0: |G(i,i) + s·C(i,i)| strictly dominates the
-   off-diagonal row sums, so both kernels factor without breakdown *)
-let gen_pencil =
-  QCheck.Gen.(
-    int_range 2 24 >>= fun n ->
-    list_repeat n (int_range 0 5) >>= fun bands ->
-    let first =
-      Array.of_list (List.mapi (fun i b -> max 0 (i - b)) bands)
-    in
-    let fill_rows rng =
-      Array.init n (fun i ->
-          Array.init
-            (i - first.(i) + 1)
-            (fun k -> if k = i - first.(i) then 0.0 else float_range (-1.0) 1.0 rng))
-    in
-    let dominate rows =
-      (* full-row absolute sums (envelope entry (i,j) also lives in
-         symmetric position (j,i)) *)
-      let sums = Array.make n 0.0 in
-      Array.iteri
-        (fun i r ->
-          Array.iteri
-            (fun k v ->
-              if first.(i) + k < i then begin
-                sums.(i) <- sums.(i) +. Float.abs v;
-                sums.(first.(i) + k) <- sums.(first.(i) + k) +. Float.abs v
-              end)
-            r)
-        rows;
-      Array.iteri (fun i r -> r.(i - first.(i)) <- (2.0 *. sums.(i)) +. 1.0) rows;
-      rows
-    in
-    fun rng ->
-      let pe_g = dominate (fill_rows rng) in
-      let pe_c = dominate (fill_rows rng) in
-      let s =
-        { Complex.re = float_range 0.0 2.0 rng; im = float_range 0.1 10.0 rng }
-      in
-      let b = Array.init n (fun _ -> float_range (-1.0) 1.0 rng) in
-      ({ Sparse.Skyline.pe_n = n; pe_first = first; pe_g; pe_c }, s, b))
-
-let print_pencil (env, s, _) =
-  Printf.sprintf "n=%d s=%g%+gi" env.Sparse.Skyline.pe_n s.Complex.re s.Complex.im
-
-let soa_matches_oracle =
-  QCheck.Test.make ~count:200
-    ~name:"skyline: SoA kernel = Complex_sym oracle (diag and solve)"
-    (QCheck.make ~print:print_pencil gen_pencil)
-    (fun (env, s, b) ->
-      let n = env.Sparse.Skyline.pe_n in
-      let oracle = Sparse.Skyline.factor_complex_env env s in
-      let soa = Sparse.Skyline.Complex_soa.factor_pencil env s in
-      let d_o = Sparse.Skyline.Complex_sym.d oracle in
-      let d_s = Sparse.Skyline.Complex_soa.d soa in
-      let dscale =
-        Array.fold_left (fun acc x -> Float.max acc (Complex.norm x)) 1e-300 d_o
-      in
-      let d_ok = ref true in
-      for i = 0 to n - 1 do
-        if Complex.norm (Complex.sub d_o.(i) d_s.(i)) > 1e-12 *. dscale then d_ok := false
-      done;
-      let x_o =
-        Sparse.Skyline.Complex_sym.solve oracle
-          (Array.map (fun v -> { Complex.re = v; im = 0.0 }) b)
-      in
-      let x_re = Array.copy b and x_im = Array.make n 0.0 in
-      Sparse.Skyline.Complex_soa.solve_split soa x_re x_im;
-      let xscale =
-        Array.fold_left (fun acc x -> Float.max acc (Complex.norm x)) 1e-300 x_o
-      in
-      let x_ok = ref true in
-      for i = 0 to n - 1 do
-        let d =
-          Complex.norm
-            (Complex.sub x_o.(i) { Complex.re = x_re.(i); im = x_im.(i) })
-        in
-        if d > 1e-12 *. xscale then x_ok := false
-      done;
-      !d_ok && !x_ok)
-
-let fill_agrees =
-  QCheck.Test.make ~count:100 ~name:"skyline: SoA fill = functor fill"
-    (QCheck.make ~print:print_pencil gen_pencil)
-    (fun (env, s, _) ->
-      let oracle = Sparse.Skyline.factor_complex_env env s in
-      let soa = Sparse.Skyline.Complex_soa.factor_pencil env s in
-      Sparse.Skyline.Complex_sym.fill oracle = Sparse.Skyline.Complex_soa.fill soa
-      && Sparse.Skyline.Complex_sym.dim oracle = Sparse.Skyline.Complex_soa.dim soa)
-
-let qsuite =
-  List.map
-    (fun t -> Qtest.to_alcotest t)
-    [ soa_matches_oracle; fill_agrees ]
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "parallel"
@@ -250,5 +150,4 @@ let () =
           Alcotest.test_case "reuse = fresh factorisation" `Quick
             test_workspace_reuse_matches_fresh;
         ] );
-      ("properties", qsuite);
     ]

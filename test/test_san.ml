@@ -177,16 +177,6 @@ let test_fp_growth_threshold () =
   Alcotest.(check (list string)) "|L|max beyond limit records SAN102" [ "SAN102" ]
     (codes ())
 
-let test_fp_skyline_nan_detected () =
-  with_san ~fp:true @@ fun () ->
-  let first = [| 0; 0; 0 |] in
-  let get i j = if i = 2 && j = 2 then Float.nan else if i = j then 1.0 else 0.1 in
-  (match Sparse.Skyline.Real.factor ~n:3 ~first ~get () with
-  | _ -> ()
-  | exception Sparse.Skyline.Singular _ -> ());
-  Alcotest.(check bool) "NaN input surfaces as SAN101" true
-    (List.mem "SAN101" (codes ()))
-
 let test_fp_supernodal_nan_detected () =
   with_san ~fp:true @@ fun () ->
   let tr = Sparse.Triplet.create 4 4 in
@@ -236,7 +226,17 @@ let test_fp_ac_sweep_clean () =
   let freqs = Simulate.Ac.log_freqs ~points:9 1e6 1e9 in
   let _ = Simulate.Ac.sweep ~jobs:2 mna freqs in
   Alcotest.(check (list string)) "well-conditioned sweep is finding-free" []
-    (codes ())
+    (codes ());
+  (* the shipped rl_ladder at 10 GHz assembles pivots ~1e10: the growth
+     probe must measure the multipliers of L, not the assembled
+     diagonal the panels keep *)
+  let rl =
+    Circuit.Parser.parse_string
+      "L1 in n1 1n\nR1 n1 0 5\nL2 n1 n2 1n\nR2 n2 0 5\nL3 n2 n3 1n\nR3 n3 0 5\n\
+       .port feed in\n"
+  in
+  let _ = Simulate.Ac.sweep ~jobs:1 (Circuit.Mna.auto rl) (Simulate.Ac.log_freqs ~points:16 1e6 1e10) in
+  Alcotest.(check (list string)) "large-pivot RL sweep is finding-free" [] (codes ())
 
 (* ------------------------------------------------------------------ *)
 (* Findings plumbing                                                   *)
@@ -343,7 +343,6 @@ let () =
           Alcotest.test_case "check records" `Quick test_fp_check_records;
           Alcotest.test_case "check_array index" `Quick test_fp_check_array_index;
           Alcotest.test_case "growth threshold" `Quick test_fp_growth_threshold;
-          Alcotest.test_case "skyline NaN" `Quick test_fp_skyline_nan_detected;
           Alcotest.test_case "supernodal NaN" `Quick test_fp_supernodal_nan_detected;
           Alcotest.test_case "supernodal clean" `Quick test_fp_supernodal_solve_clean;
           Alcotest.test_case "AC sweep clean" `Quick test_fp_ac_sweep_clean;

@@ -33,7 +33,7 @@ let netlist_of base =
        [ "../examples/netlists/" ^ base ^ ".cir"; "examples/netlists/" ^ base ^ ".cir" ])
 
 (* dense complex evaluation of a first-order MNA pencil — valid for
-   nonsymmetric pencils (the companion form), unlike the skyline AC
+   nonsymmetric pencils (the companion form), unlike the sparse AC
    fast path which assumes G = Gᵀ, C = Cᵀ *)
 let dense_eval (m : M.t) s =
   let var =

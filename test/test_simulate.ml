@@ -31,20 +31,20 @@ let test_ac_matches_dense_rc () =
   List.iter
     (fun f ->
       let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
-      let z_sky = Simulate.Ac.z_at m s in
+      let z_sparse = Simulate.Ac.z_at m s in
       let z_dense = z_exact_dense m s in
       checkf (Printf.sprintf "at %g Hz" f) ~tol:1e-9 0.0
-        (Linalg.Cmat.dist_max z_sky z_dense /. Linalg.Cmat.max_abs z_dense))
+        (Linalg.Cmat.dist_max z_sparse z_dense /. Linalg.Cmat.max_abs z_dense))
     [ 1e6; 1e8; 1e10 ]
 
 let test_ac_matches_dense_rlc () =
   let nl = Circuit.Generators.rlc_line ~r_load:75.0 ~sections:6 () in
   let m = Circuit.Mna.assemble nl in
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 5e8) in
-  let z_sky = Simulate.Ac.z_at m s in
+  let z_sparse = Simulate.Ac.z_at m s in
   let z_dense = z_exact_dense m s in
-  checkf "rlc skyline = dense" ~tol:1e-8 0.0
-    (Linalg.Cmat.dist_max z_sky z_dense /. Linalg.Cmat.max_abs z_dense)
+  checkf "rlc sparse = dense" ~tol:1e-8 0.0
+    (Linalg.Cmat.dist_max z_sparse z_dense /. Linalg.Cmat.max_abs z_dense)
 
 let test_ac_lc_two_port () =
   let nl, out_l = Circuit.Generators.peec_mesh ~segments:16 () in
@@ -139,7 +139,7 @@ let test_transient_rl_step () =
 
 let test_transient_backends_agree () =
   (* same circuit through dense (forced via reduced=[] + small) and
-     skyline (larger): build a medium RC chain; run BE vs TR also *)
+     sparse (larger): build a medium RC chain; run BE vs TR also *)
   let nl = Circuit.Generators.rc_line ~sections:80 () in
   let input = Circuit.Netlist.node nl "n0" in
   let out = Circuit.Netlist.node nl "n80" in
@@ -152,8 +152,8 @@ let test_transient_backends_agree () =
     }
   in
   let res_be = Simulate.Transient.run ~opts ~observe:[ out ] nl in
-  Alcotest.(check bool) "skyline chosen" true
-    (res_be.Simulate.Transient.backend = `Skyline);
+  Alcotest.(check bool) "sparse chosen" true
+    (res_be.Simulate.Transient.backend = `Sparse);
   let opts_tr =
     { opts with Simulate.Transient.method_ = `Trapezoidal }
   in

@@ -1,4 +1,4 @@
-(* Tests for the sparse substrate: COO/CSR, RCM ordering, skyline LDLᵀ. *)
+(* Tests for the sparse substrate: COO/CSR, RCM ordering, sparse LDLᵀ. *)
 
 let checkf msg ~tol expected actual = Alcotest.(check (float tol)) msg expected actual
 
@@ -160,58 +160,81 @@ let test_rcm_disconnected () =
   Alcotest.(check bool) "covers all nodes" true (Array.for_all Fun.id seen)
 
 (* ------------------------------------------------------------------ *)
-(* Skyline                                                            *)
+(* Sparse LDLᵀ (supernodal kernel) on small hand-checked matrices      *)
 
-let test_skyline_real_solve () =
+(* factor [a] in the order the pencil uses (AMD + etree postorder) and
+   return the factor with a solve in original coordinates *)
+let ldlt a =
+  let n = a.Sparse.Csr.rows in
+  let perm = Sparse.Supernodal.order a in
+  let fac =
+    Sparse.Supernodal.Real.factor
+      (Sparse.Supernodal.symbolic (Sparse.Csr.permute_sym a perm))
+      0.0
+  in
+  let solve b =
+    let y = Sparse.Supernodal.Real.solve fac (Array.init n (fun i -> b.(perm.(i)))) in
+    let x = Array.make n 0.0 in
+    Array.iteri (fun i p -> x.(p) <- y.(i)) perm;
+    x
+  in
+  (fac, solve)
+
+let test_ldlt_real_solve () =
   let a = grid_laplacian 6 1.0 in
-  let f = Sparse.Skyline.factor_real a in
+  let _, solve = ldlt a in
   let b = Array.init 36 (fun i -> cos (float_of_int i)) in
-  let x = Sparse.Skyline.Real.solve f b in
-  let r = Sparse.Csr.mul_vec a x in
+  let r = Sparse.Csr.mul_vec a (solve b) in
   let worst = ref 0.0 in
   Array.iteri (fun i ri -> worst := Float.max !worst (Float.abs (ri -. b.(i)))) r;
   checkf "residual" ~tol:1e-10 0.0 !worst
 
-let test_skyline_matches_dense () =
+let test_ldlt_matches_dense () =
   let a = grid_laplacian 4 0.7 in
   let d = Sparse.Csr.to_dense a in
   let b = Linalg.Vec.init 16 (fun i -> float_of_int (i mod 3) -. 1.0) in
-  let x_sky = Sparse.Skyline.Real.solve (Sparse.Skyline.factor_real a) (Array.copy b) in
+  let _, solve = ldlt a in
   let x_dense = Linalg.Lu.solve d b in
-  checkf "skyline = dense" ~tol:1e-10 0.0 (Linalg.Vec.dist_inf x_sky x_dense)
+  checkf "sparse = dense" ~tol:1e-10 0.0 (Linalg.Vec.dist_inf (solve b) x_dense)
 
-let test_skyline_indefinite () =
-  (* symmetric indefinite but factorable without pivoting *)
+let test_ldlt_indefinite () =
+  (* symmetric indefinite but factorable without pivoting in any order *)
   let m =
     Linalg.Mat.of_arrays
       [| [| 2.0; 1.0; 0.0 |]; [| 1.0; -3.0; 1.0 |]; [| 0.0; 1.0; 1.0 |] |]
   in
-  let a = Sparse.Csr.of_dense m in
-  let f = Sparse.Skyline.factor_real a in
-  let d = Sparse.Skyline.Real.d f in
+  let fac, solve = ldlt (Sparse.Csr.of_dense m) in
+  let d = Sparse.Supernodal.Real.d fac in
   Alcotest.(check bool) "has a negative pivot" true (Array.exists (fun x -> x < 0.0) d);
   let b = [| 1.0; 0.0; -1.0 |] in
-  let x = Sparse.Skyline.Real.solve f b in
-  let r = Linalg.Vec.sub (Linalg.Mat.mul_vec m x) b in
+  let r = Linalg.Vec.sub (Linalg.Mat.mul_vec m (solve b)) b in
   checkf "indefinite residual" ~tol:1e-12 0.0 (Linalg.Vec.norm_inf r)
 
-let test_skyline_singular_raises () =
+let test_ldlt_singular_raises () =
   let m = Linalg.Mat.of_arrays [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |] in
-  let a = Sparse.Csr.of_dense m in
   Alcotest.(check bool) "raises Singular" true
     (try
-       ignore (Sparse.Skyline.factor_real a);
+       ignore (ldlt (Sparse.Csr.of_dense m));
        false
-     with Sparse.Skyline.Singular _ -> true)
+     with Sparse.Supernodal.Singular _ -> true)
 
-let test_skyline_complex () =
+let test_ldlt_complex () =
   let g = grid_laplacian 4 0.3 in
   let c = Sparse.Csr.identity 16 in
   let s = { Complex.re = 0.0; im = 2.0 } in
-  let f = Sparse.Skyline.factor_complex s g c in
+  let perm = Sparse.Supernodal.order ~c g in
+  let sym =
+    Sparse.Supernodal.symbolic ~c:(Sparse.Csr.permute_sym c perm)
+      (Sparse.Csr.permute_sym g perm)
+  in
+  let f = Sparse.Supernodal.Complex_soa.factor sym s in
   let b = Array.init 16 (fun i -> { Complex.re = float_of_int i; im = 1.0 }) in
-  let x = Sparse.Skyline.Complex_sym.solve f b in
-  (* residual against dense complex solve *)
+  let re = Array.init 16 (fun i -> b.(perm.(i)).Complex.re) in
+  let im = Array.init 16 (fun i -> b.(perm.(i)).Complex.im) in
+  Sparse.Supernodal.Complex_soa.solve_split f re im;
+  let x = Array.make 16 Complex.zero in
+  Array.iteri (fun i p -> x.(p) <- { Complex.re = re.(i); im = im.(i) }) perm;
+  (* residual against dense complex matvec *)
   let gc =
     Linalg.Cmat.lincomb Linalg.Cx.one (Sparse.Csr.to_dense g) s (Sparse.Csr.to_dense c)
   in
@@ -222,8 +245,10 @@ let test_skyline_complex () =
     r;
   checkf "complex residual" ~tol:1e-10 0.0 !worst
 
-let test_skyline_rcm_fill () =
-  (* RCM should not increase the envelope fill of a scrambled chain *)
+let test_ldlt_rcm_fill () =
+  (* on a scrambled chain, the RCM elimination sequence (postordered,
+     as the pencil's retry uses it) stores no fill at all, while the
+     scrambled natural order does *)
   let n = 50 in
   let scramble = Array.init n (fun i -> (i * 23) mod n) in
   let tr = Sparse.Triplet.create n n in
@@ -234,13 +259,14 @@ let test_skyline_rcm_fill () =
     Sparse.Triplet.add_sym tr scramble.(i) scramble.(i + 1) (-1.0)
   done;
   let a = Sparse.Csr.of_triplet tr in
-  let fa = Sparse.Skyline.factor_real a in
-  let p = Sparse.Csr.permute_sym a (Sparse.Rcm.order a) in
-  let fp = Sparse.Skyline.factor_real p in
-  Alcotest.(check bool)
-    (Printf.sprintf "fill %d -> %d" (Sparse.Skyline.Real.fill fa) (Sparse.Skyline.Real.fill fp))
-    true
-    (Sparse.Skyline.Real.fill fp < Sparse.Skyline.Real.fill fa)
+  let fill perm =
+    Sparse.Supernodal.nnz
+      (Sparse.Supernodal.symbolic
+         (Sparse.Csr.permute_sym a (Sparse.Supernodal.postordered a perm)))
+  in
+  let natural = fill (Sparse.Rcm.identity n) and rcm = fill (Sparse.Rcm.order a) in
+  Alcotest.(check int) "rcm stores the chain exactly" ((2 * n) - 1) rcm;
+  Alcotest.(check bool) (Printf.sprintf "fill %d -> %d" natural rcm) true (rcm < natural)
 
 let test_csr_bandwidth_profile () =
   let tr = Sparse.Triplet.create 5 5 in
@@ -253,15 +279,15 @@ let test_csr_bandwidth_profile () =
   (* profile: rows 0,1,2 start at diag; row 3 reaches back to col 0 *)
   Alcotest.(check int) "profile" 3 (Sparse.Csr.profile a)
 
-let test_skyline_fill_reported () =
+let test_ldlt_fill_reported () =
   let tr = Sparse.Triplet.create 4 4 in
   for i = 0 to 3 do
     Sparse.Triplet.add tr i i 4.0
   done;
   Sparse.Triplet.add_sym tr 0 3 1.0;
-  let f = Sparse.Skyline.factor_real (Sparse.Csr.of_triplet tr) in
-  (* envelope of row 3 spans columns 0..2 *)
-  Alcotest.(check int) "fill" 3 (Sparse.Skyline.Real.fill f)
+  let fac, _ = ldlt (Sparse.Csr.of_triplet tr) in
+  (* four pivots plus the one coupling entry, under any ordering *)
+  Alcotest.(check int) "fill" 5 (Sparse.Supernodal.Real.fill fac)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
@@ -280,8 +306,8 @@ let prop_spmv_matches_dense =
       let x = Linalg.Vec.init cols (fun _ -> Linalg.Rng.uniform rng (-1.0) 1.0) in
       Linalg.Vec.dist_inf (Sparse.Csr.mul_vec a x) (Linalg.Mat.mul_vec m x) < 1e-12)
 
-let prop_skyline_solve =
-  QCheck.Test.make ~count:30 ~name:"skyline: SPD solve residual small"
+let prop_ldlt_solve =
+  QCheck.Test.make ~count:30 ~name:"sparse ldlt: SPD solve residual small"
     (QCheck.make QCheck.Gen.int)
     (fun seed ->
       let rng = Linalg.Rng.create seed in
@@ -289,8 +315,7 @@ let prop_skyline_solve =
       let a = grid_laplacian g (Linalg.Rng.uniform rng 0.1 2.0) in
       let n = g * g in
       let b = Array.init n (fun _ -> Linalg.Rng.uniform rng (-1.0) 1.0) in
-      let x = Sparse.Skyline.Real.solve (Sparse.Skyline.factor_real a) b in
-      let r = Sparse.Csr.mul_vec a x in
+      let r = Sparse.Csr.mul_vec a ((snd (ldlt a)) b) in
       let worst = ref 0.0 in
       Array.iteri (fun i ri -> worst := Float.max !worst (Float.abs (ri -. b.(i)))) r;
       !worst < 1e-9)
@@ -317,7 +342,7 @@ let prop_rcm_permutation =
 let () =
   let qsuite =
     List.map (fun t -> Qtest.to_alcotest t)
-      [ prop_spmv_matches_dense; prop_skyline_solve; prop_rcm_permutation ]
+      [ prop_spmv_matches_dense; prop_ldlt_solve; prop_rcm_permutation ]
   in
   Alcotest.run "sparse"
     [
@@ -334,6 +359,7 @@ let () =
           Alcotest.test_case "add/scale" `Quick test_csr_add_scale;
           Alcotest.test_case "symmetry check" `Quick test_csr_symmetric;
           Alcotest.test_case "symmetric permute" `Quick test_csr_permute_sym;
+          Alcotest.test_case "bandwidth/profile" `Quick test_csr_bandwidth_profile;
         ] );
       ( "rcm",
         [
@@ -341,16 +367,15 @@ let () =
           Alcotest.test_case "chain bandwidth" `Quick test_rcm_chain_bandwidth;
           Alcotest.test_case "disconnected graph" `Quick test_rcm_disconnected;
         ] );
-      ( "skyline",
+      ( "sparse_ldlt",
         [
-          Alcotest.test_case "real solve" `Quick test_skyline_real_solve;
-          Alcotest.test_case "matches dense" `Quick test_skyline_matches_dense;
-          Alcotest.test_case "indefinite" `Quick test_skyline_indefinite;
-          Alcotest.test_case "singular raises" `Quick test_skyline_singular_raises;
-          Alcotest.test_case "complex symmetric" `Quick test_skyline_complex;
-          Alcotest.test_case "rcm reduces fill" `Quick test_skyline_rcm_fill;
-          Alcotest.test_case "bandwidth/profile" `Quick test_csr_bandwidth_profile;
-          Alcotest.test_case "fill reported" `Quick test_skyline_fill_reported;
+          Alcotest.test_case "real solve" `Quick test_ldlt_real_solve;
+          Alcotest.test_case "matches dense" `Quick test_ldlt_matches_dense;
+          Alcotest.test_case "indefinite" `Quick test_ldlt_indefinite;
+          Alcotest.test_case "singular raises" `Quick test_ldlt_singular_raises;
+          Alcotest.test_case "complex symmetric" `Quick test_ldlt_complex;
+          Alcotest.test_case "rcm reduces fill" `Quick test_ldlt_rcm_fill;
+          Alcotest.test_case "fill reported" `Quick test_ldlt_fill_reported;
         ] );
       ("properties", qsuite);
     ]

@@ -1,7 +1,7 @@
 (* Supernodal backend tests: scalable AMD (quotient-graph approximate
    minimum degree), fundamental-supernode detection, exact-fill
    agreement with the elimination-tree prediction, and the
-   supernodal-vs-skyline numeric oracle. *)
+   supernodal-vs-dense numeric oracle. *)
 
 let pattern_of_lists n rows =
   let tr = Sparse.Triplet.create n n in
@@ -156,7 +156,7 @@ let test_exact_fill_grid () =
     (Sparse.Supernodal.supernodes relaxed <= Sparse.Supernodal.supernodes sym)
 
 (* ------------------------------------------------------------------ *)
-(* numeric oracle: supernodal vs skyline                               *)
+(* numeric oracle: supernodal vs dense LDLᵀ / complex LU              *)
 
 let max_rel_err x y =
   let scale =
@@ -179,6 +179,8 @@ let random_pencil rng n =
   done;
   (g, Sparse.Csr.of_triplet tr)
 
+let dense_shifted g c s0 = Sparse.Csr.to_dense (Sparse.Csr.add ~alpha:1.0 ~beta:s0 g c)
+
 let test_real_oracle () =
   let rng = Linalg.Rng.create 11 in
   List.iter
@@ -192,11 +194,10 @@ let test_real_oracle () =
         let s0 = 0.5 in
         let sym = Sparse.Supernodal.symbolic ~relax ~c:pc pg in
         let fac = Sparse.Supernodal.Real.factor sym s0 in
-        let env = Sparse.Skyline.pencil_env pg pc in
-        let oracle = Sparse.Skyline.factor_pencil_real env s0 in
+        let oracle = Linalg.Ldlt.factor (dense_shifted pg pc s0) in
         let b = Array.init n (fun _ -> (2.0 *. Linalg.Rng.float rng) -. 1.0) in
         let x = Sparse.Supernodal.Real.solve fac b in
-        let y = Sparse.Skyline.Real.solve oracle b in
+        let y = Linalg.Ldlt.solve oracle b in
         Alcotest.(check bool)
           (Printf.sprintf "n=%d relax=%d rel err %g" n relax (max_rel_err x y))
           true
@@ -223,11 +224,17 @@ let test_real_extra_stamps () =
   let i0, j0 = Option.get !offd in
   let extra = [| (3, 3, 0.7); (i0, j0, -0.2) |] in
   let fac = Sparse.Supernodal.Real.factor ~extra sym 1.0 in
-  let env = Sparse.Skyline.pencil_env pg pc in
-  let oracle = Sparse.Skyline.factor_pencil_real ~extra env 1.0 in
+  (* an off-diagonal stamp lands on both triangles of the symmetric matrix *)
+  let a = dense_shifted pg pc 1.0 in
+  Array.iter
+    (fun (i, j, v) ->
+      Linalg.Mat.add_to a i j v;
+      if i <> j then Linalg.Mat.add_to a j i v)
+    extra;
   let b = Array.init n (fun i -> Float.sin (float_of_int i)) in
-  Alcotest.(check bool) "stamped solve matches skyline" true
-    (max_rel_err (Sparse.Supernodal.Real.solve fac b) (Sparse.Skyline.Real.solve oracle b)
+  Alcotest.(check bool) "stamped solve matches dense" true
+    (max_rel_err (Sparse.Supernodal.Real.solve fac b)
+       (Linalg.Ldlt.solve (Linalg.Ldlt.factor a) b)
     < 1e-9);
   (* an out-of-pattern stamp must be rejected, not silently dropped *)
   Alcotest.check_raises "out-of-pattern stamp"
@@ -249,12 +256,15 @@ let test_complex_oracle () =
     let s = { Complex.re = 0.3; im = 2.0 *. Float.pi *. 1e3 } in
     let sym = Sparse.Supernodal.symbolic ~c:pc pg in
     let fac = Sparse.Supernodal.Complex_soa.factor sym s in
-    let oracle = Sparse.Skyline.factor_complex s pg pc in
+    let oracle =
+      Linalg.Cmat.lu_factor
+        (Linalg.Cmat.lincomb Complex.one (Sparse.Csr.to_dense pg) s (Sparse.Csr.to_dense pc))
+    in
     let b = Array.init n (fun i -> { Complex.re = Float.cos (float_of_int i); im = 0.25 }) in
     let re = Array.map (fun z -> z.Complex.re) b in
     let im = Array.map (fun z -> z.Complex.im) b in
     Sparse.Supernodal.Complex_soa.solve_split fac re im;
-    let y = Sparse.Skyline.Complex_sym.solve oracle b in
+    let y = Linalg.Cmat.lu_solve_vec oracle b in
     let yre = Array.map (fun z -> z.Complex.re) y in
     let yim = Array.map (fun z -> z.Complex.im) y in
     Alcotest.(check bool)
@@ -295,9 +305,9 @@ let () =
         ] );
       ( "numeric",
         [
-          Alcotest.test_case "real pencil vs skyline" `Quick test_real_oracle;
+          Alcotest.test_case "real pencil vs dense ldlt" `Quick test_real_oracle;
           Alcotest.test_case "extra stamps" `Quick test_real_extra_stamps;
-          Alcotest.test_case "complex pencil vs skyline" `Quick test_complex_oracle;
+          Alcotest.test_case "complex pencil vs dense lu" `Quick test_complex_oracle;
           Alcotest.test_case "singular pivot" `Quick test_singular_raises;
         ] );
     ]

@@ -28,11 +28,16 @@ let z_exact (m : Circuit.Mna.t) s =
 (* ------------------------------------------------------------------ *)
 (* Factor front-end                                                   *)
 
+(* G alone through the production path: supernodal LDLᵀ, RCM-ordered
+   retry, dense fallback *)
+let factor_g (m : Circuit.Mna.t) =
+  Sympvl.Pencil.factor (Sympvl.Pencil.of_matrices m.Circuit.Mna.g m.Circuit.Mna.c) ~shift:0.0
+
 let test_factor_spd_definite () =
   (* random_rc always has a resistive path to ground: G is PD *)
   let nl = Circuit.Generators.random_rc ~nodes:20 ~extra_edges:15 ~seed:11 () in
   let m = Circuit.Mna.assemble_rc nl in
-  let f = Factor.auto m.Circuit.Mna.g in
+  let f = factor_g m in
   Alcotest.(check bool) "definite" true f.Factor.definite;
   (* M J Mᵀ x = G x for random x, via solve: G(G⁻¹b) = b *)
   let b = Linalg.Vec.init f.Factor.n (fun i -> sin (float_of_int i)) in
@@ -43,7 +48,7 @@ let test_factor_spd_definite () =
 let test_factor_indefinite_rlc () =
   let nl = Circuit.Generators.rlc_line ~r_load:50.0 ~sections:5 () in
   let m = Circuit.Mna.assemble nl in
-  let f = Factor.auto m.Circuit.Mna.g in
+  let f = factor_g m in
   Alcotest.(check bool) "indefinite" false f.Factor.definite;
   let b = Linalg.Vec.init f.Factor.n (fun i -> cos (float_of_int i)) in
   let x = f.Factor.solve b in
@@ -54,7 +59,7 @@ let test_factor_m_consistency () =
   (* G x = M J Mᵀ x: check via applying the factored ops *)
   let nl = Circuit.Generators.random_rc ~nodes:12 ~extra_edges:8 ~seed:12 () in
   let m = Circuit.Mna.assemble_rc nl in
-  let f = Factor.auto m.Circuit.Mna.g in
+  let f = factor_g m in
   let x = Linalg.Vec.init f.Factor.n (fun i -> float_of_int (i + 1)) in
   (* y = M⁻¹ G M⁻ᵀ x should equal J x *)
   let gmt = Sparse.Csr.mul_vec m.Circuit.Mna.g (f.Factor.apply_mt_inv x) in
@@ -67,9 +72,19 @@ let test_factor_singular_raises () =
   let m = Circuit.Mna.assemble_lc nl in
   Alcotest.(check bool) "singular G detected" true
     (try
-       ignore (Factor.auto m.Circuit.Mna.g);
+       ignore (factor_g m);
        false
      with Factor.Singular _ -> true)
+
+let test_factor_complex_singular () =
+  (* G + sC = 1 − 1 = 0: the AC kernel's breakdown surfaces as the one
+     pencil-boundary exception, after the RCM-ordered retry *)
+  let one = Sparse.Csr.of_dense (Linalg.Mat.of_arrays [| [| 1.0 |] |]) in
+  let ctx = Sympvl.Pencil.of_matrices one one in
+  Alcotest.(check bool) "Factor.Singular at s = -1" true
+    (match Sympvl.Pencil.factor_complex ctx { Complex.re = -1.0; im = 0.0 } with
+    | _ -> false
+    | exception Factor.Singular _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Band Lanczos invariants                                            *)
@@ -468,6 +483,7 @@ let () =
           Alcotest.test_case "indefinite rlc" `Quick test_factor_indefinite_rlc;
           Alcotest.test_case "M consistency" `Quick test_factor_m_consistency;
           Alcotest.test_case "singular raises" `Quick test_factor_singular_raises;
+          Alcotest.test_case "complex singular raises" `Quick test_factor_complex_singular;
         ] );
       ( "band_lanczos",
         [
